@@ -330,8 +330,7 @@ void Node::PrivateAccess(uint64_t va, bool is_write) {
   timing_.Charge(Bucket::kNone, opts_.costs.base_access_ns);
   if (opts_.race_detection) {
     ChargeInstrumentationLocked();
-    AccessFilter::Result result = filter_.OnAccess(va, is_write);
-    CVM_CHECK(!result.shared) << "private VA resolved as shared";
+    CVM_CHECK(!filter_.OnAccess(va, is_write)) << "private VA resolved as shared";
   }
 }
 
@@ -345,57 +344,54 @@ uint64_t Node::AllocPrivateVa(uint64_t bytes) {
 uint32_t Node::ReadWord(GlobalAddr addr) {
   std::unique_lock<std::mutex> lk(mu_);
   timing_.Charge(Bucket::kNone, opts_.costs.base_access_ns);
-  const PageId page = static_cast<PageId>(addr / opts_.page_size);
-  const uint32_t word = WordInPage(addr % opts_.page_size);
+  const AccessFilter::Location at = filter_.Locate(addr);
   if (opts_.race_detection) {
-    ChargeInstrumentationLocked();
-    AccessFilter::Result result = filter_.OnAccess(SharedVa(addr), /*is_write=*/false);
-    CVM_CHECK(result.shared);
-    bitmaps_.RecordRead(cur_interval_, page, word);
-    if (cur_reads_.Insert(page)) {
-      timing_.Charge(Bucket::kCvmMods, opts_.costs.notice_setup_ns);
-    }
-    if (opts_.watch.has_value()) {
-      const Watchpoint& w = *opts_.watch;
-      if (addr >= w.addr && addr < w.addr + w.bytes && (w.epoch == -1 || epoch_ == w.epoch)) {
-        system_->AddWatchHit(
-            WatchHit{id_, IntervalId{id_, cur_interval_}, epoch_, addr, false, site_});
-      }
-    }
+    InstrumentSharedAccessLocked(addr, at, /*is_write=*/false);
   }
-  if (!pages_.Readable(page)) {
-    ReadFaultLocked(lk, page);
+  if (!pages_.Readable(at.page)) {
+    ReadFaultLocked(lk, at.page);
   }
-  const uint32_t value = pages_.ReadWord(page, word);
-  protocol_->OnAccessComplete(page);
+  const uint32_t value = pages_.ReadWord(at.page, at.word);
+  protocol_->OnAccessComplete(at.page);
   return value;
 }
 
 void Node::WriteWord(GlobalAddr addr, uint32_t value) {
   std::unique_lock<std::mutex> lk(mu_);
   timing_.Charge(Bucket::kNone, opts_.costs.base_access_ns);
-  const PageId page = static_cast<PageId>(addr / opts_.page_size);
-  const uint32_t word = WordInPage(addr % opts_.page_size);
+  const AccessFilter::Location at = filter_.Locate(addr);
   // §6.5: under diff-derived write detection, store instructions are not
   // instrumented at all — writes are mined from diffs at release time.
   if (opts_.race_detection && opts_.write_detection == WriteDetection::kInstrumentation) {
-    ChargeInstrumentationLocked();
-    AccessFilter::Result result = filter_.OnAccess(SharedVa(addr), /*is_write=*/true);
-    CVM_CHECK(result.shared);
-    bitmaps_.RecordWrite(cur_interval_, page, word);
-    if (opts_.watch.has_value()) {
-      const Watchpoint& w = *opts_.watch;
-      if (addr >= w.addr && addr < w.addr + w.bytes && (w.epoch == -1 || epoch_ == w.epoch)) {
-        system_->AddWatchHit(
-            WatchHit{id_, IntervalId{id_, cur_interval_}, epoch_, addr, true, site_});
-      }
+    InstrumentSharedAccessLocked(addr, at, /*is_write=*/true);
+  }
+  if (!pages_.Writable(at.page)) {
+    WriteFaultLocked(lk, at.page);
+  }
+  pages_.WriteWord(at.page, at.word, value);
+  protocol_->OnAccessComplete(at.page);
+}
+
+void Node::InstrumentSharedAccessLocked(GlobalAddr addr, AccessFilter::Location at,
+                                        bool is_write) {
+  ChargeInstrumentationLocked();
+  CVM_CHECK(filter_.OnAccess(SharedVa(addr), is_write));
+  if (is_write) {
+    bitmaps_.RecordWrite(cur_interval_, at.page, at.word);
+  } else if (bitmaps_.RecordRead(cur_interval_, at.page, at.word) &&
+             cur_reads_.Insert(at.page)) {
+    // First read of the page in this interval: a new read notice. The
+    // bitmap store answers that in O(1); cur_reads_ holds exactly the pages
+    // with a non-empty read bitmap, so the set is touched once per notice.
+    timing_.Charge(Bucket::kCvmMods, opts_.costs.notice_setup_ns);
+  }
+  if (opts_.watch.has_value()) {
+    const Watchpoint& w = *opts_.watch;
+    if (addr >= w.addr && addr < w.addr + w.bytes && (w.epoch == -1 || epoch_ == w.epoch)) {
+      system_->AddWatchHit(
+          WatchHit{id_, IntervalId{id_, cur_interval_}, epoch_, addr, is_write, site_});
     }
   }
-  if (!pages_.Writable(page)) {
-    WriteFaultLocked(lk, page);
-  }
-  pages_.WriteWord(page, word, value);
-  protocol_->OnAccessComplete(page);
 }
 
 void Node::ReadFaultLocked(std::unique_lock<std::mutex>& lk, PageId page) {

@@ -236,6 +236,10 @@ class Node : public ProtocolHost {
   void DispatchWithFlow(const Message& msg);
 
   // ---- Shared-access internals (mu_ held) ----
+  // The instrumented half of one shared access at `at`: charges and runs
+  // the analysis routine, sets the interval's bitmap bit, opens a read
+  // notice on the page's first read, reports watchpoint hits.
+  void InstrumentSharedAccessLocked(GlobalAddr addr, AccessFilter::Location at, bool is_write);
   void ReadFaultLocked(std::unique_lock<std::mutex>& lk, PageId page);
   void WriteFaultLocked(std::unique_lock<std::mutex>& lk, PageId page);
 

@@ -21,6 +21,10 @@ PageTable::PageTable(int num_pages, uint64_t page_size) : page_size_(page_size) 
   entries_.resize(num_pages);
 }
 
+void PageTable::PageOutOfRange(PageId page) const {
+  CVM_CHECK(false) << "page " << page << " outside [0, " << num_pages() << ")";
+}
+
 uint32_t PageTable::ReadWord(PageId page, uint32_t word) const {
   const PageEntry& e = entry(page);
   CVM_CHECK(e.state != PageState::kInvalid) << "read of invalid page " << page;

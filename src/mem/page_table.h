@@ -48,13 +48,11 @@ class PageTable {
                            obs::Counter* installs, obs::Counter* invalidations);
 
   PageEntry& entry(PageId page) {
-    CVM_CHECK_GE(page, 0);
-    CVM_CHECK_LT(page, num_pages());
+    CheckPage(page);
     return entries_[page];
   }
   const PageEntry& entry(PageId page) const {
-    CVM_CHECK_GE(page, 0);
-    CVM_CHECK_LT(page, num_pages());
+    CheckPage(page);
     return entries_[page];
   }
 
@@ -78,6 +76,16 @@ class PageTable {
   void DropTwin(PageId page) { entry(page).twin.reset(); }
 
  private:
+  // The range check behind entry(). Its failure report is out of line so
+  // that entry() stays two compares, small enough to inline into every
+  // shared access.
+  void CheckPage(PageId page) const {
+    if (page < 0 || page >= num_pages()) {
+      PageOutOfRange(page);
+    }
+  }
+  [[noreturn]] void PageOutOfRange(PageId page) const;
+
   uint64_t page_size_;
   std::vector<PageEntry> entries_;
 

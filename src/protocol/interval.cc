@@ -70,20 +70,21 @@ PageAccessBitmaps& BitmapStore::PairFor(IntervalIndex interval, PageId page, boo
   return it->second;
 }
 
-bool BitmapStore::RecordRead(IntervalIndex interval, PageId page, uint32_t word) {
+BitmapStore::PageSlot& BitmapStore::FillSlot(IntervalIndex interval, PageId page) {
+  CVM_CHECK_GE(page, 0);
+  const auto index = static_cast<size_t>(page);
+  if (index >= slots_.size()) {
+    slots_.resize(index + 1);
+  }
   bool created = false;
   PageAccessBitmaps& pair = PairFor(interval, page, &created);
-  const bool first_read = pair.read.empty();
-  pair.read.Set(word);
-  return first_read || created;
-}
-
-bool BitmapStore::RecordWrite(IntervalIndex interval, PageId page, uint32_t word) {
-  bool created = false;
-  PageAccessBitmaps& pair = PairFor(interval, page, &created);
-  const bool first_write = pair.write.empty();
-  pair.write.Set(word);
-  return first_write || created;
+  PageSlot& slot = slots_[index];
+  slot.pair = &pair;
+  slot.generation = generation_;
+  slot.interval = interval;
+  slot.read_seen = !created && !pair.read.empty();
+  slot.write_seen = !created && !pair.write.empty();
+  return slot;
 }
 
 const PageAccessBitmaps* BitmapStore::Find(IntervalIndex interval, PageId page) const {
@@ -99,6 +100,7 @@ const PageAccessBitmaps* BitmapStore::Find(IntervalIndex interval, PageId page) 
 }
 
 void BitmapStore::DiscardThrough(IntervalIndex up_to) {
+  ++generation_;  // Every slot may point at a node about to be pooled.
   while (!by_interval_.empty() && by_interval_.begin()->first <= up_to) {
     PageMap& pages = by_interval_.begin()->second;
     while (!pages.empty()) {
@@ -110,22 +112,13 @@ void BitmapStore::DiscardThrough(IntervalIndex up_to) {
 
 void BitmapStore::RestorePair(IntervalIndex interval, PageId page,
                               const PageAccessBitmaps& pair) {
+  ++generation_;  // The restored bits invalidate any cached read/write_seen.
   bool created = false;
-  PageAccessBitmaps& slot = PairFor(interval, page, &created);
+  PageAccessBitmaps& restored = PairFor(interval, page, &created);
   if (created) {
     --total_pairs_;  // A restore is not a new recording.
   }
-  slot = pair;
-}
-
-void BitmapStore::Clear() {
-  while (!by_interval_.empty()) {
-    PageMap& pages = by_interval_.begin()->second;
-    while (!pages.empty()) {
-      pair_pool_.Release(pages.extract(pages.begin()));
-    }
-    interval_pool_.Release(by_interval_.extract(by_interval_.begin()));
-  }
+  restored = pair;
 }
 
 size_t BitmapStore::RetainedPairs() const {

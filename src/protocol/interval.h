@@ -6,8 +6,10 @@
 #define CVM_PROTOCOL_INTERVAL_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/bitmap.h"
@@ -57,8 +59,18 @@ class BitmapStore {
   // Marks one word accessed in the given local interval; creates the bitmap
   // pair lazily. Returns true if this is the first access (read or write
   // respectively) to the page in this interval, i.e. a new notice is due.
-  bool RecordRead(IntervalIndex interval, PageId page, uint32_t word);
-  bool RecordWrite(IntervalIndex interval, PageId page, uint32_t word);
+  // O(1) when the page's slot already caches (interval, page): no map
+  // lookup and no bitmap scan, just the bit set.
+  bool RecordRead(IntervalIndex interval, PageId page, uint32_t word) {
+    PageSlot& slot = SlotFor(interval, page);
+    slot.pair->read.Set(word);
+    return !std::exchange(slot.read_seen, true);
+  }
+  bool RecordWrite(IntervalIndex interval, PageId page, uint32_t word) {
+    PageSlot& slot = SlotFor(interval, page);
+    slot.pair->write.Set(word);
+    return !std::exchange(slot.write_seen, true);
+  }
 
   // Bitmaps for (interval, page); null if the interval never touched it.
   const PageAccessBitmaps* Find(IntervalIndex interval, PageId page) const;
@@ -73,7 +85,7 @@ class BitmapStore {
 
   // Drops every retained pair (rollback clears the torn epoch's bitmaps
   // before restoring the checkpointed ones). Does not reset total_pairs_.
-  void Clear();
+  void Clear() { DiscardThrough(std::numeric_limits<IntervalIndex>::max()); }
 
   // Number of (interval, page) bitmap pairs currently retained.
   size_t RetainedPairs() const;
@@ -100,9 +112,39 @@ class BitmapStore {
   using PageMap = std::map<PageId, PageAccessBitmaps>;
   using IntervalMap = std::map<IntervalIndex, PageMap>;
 
+  // One page's cache of the pair its latest recorded access went to. Valid
+  // only while `generation` equals the store's: DiscardThrough, Clear and
+  // RestorePair bump that, so a slot never points at a pooled (recycled)
+  // map node nor vouches for bits a restore overwrote — even when a
+  // rollback reuses an old interval index. read_seen/write_seen: the
+  // pair's read/write bitmap already has a bit set.
+  struct PageSlot {
+    PageAccessBitmaps* pair = nullptr;
+    uint64_t generation = 0;  // 0 never matches: generation_ starts at 1.
+    IntervalIndex interval = 0;
+    bool read_seen = false;
+    bool write_seen = false;
+  };
+
+  PageSlot& SlotFor(IntervalIndex interval, PageId page) {
+    const auto index = static_cast<size_t>(page);
+    if (index < slots_.size()) {
+      PageSlot& slot = slots_[index];
+      if (slot.interval == interval && slot.generation == generation_) {
+        return slot;
+      }
+    }
+    return FillSlot(interval, page);
+  }
+  // Slot miss: finds or creates the pair through PairFor and caches it.
+  PageSlot& FillSlot(IntervalIndex interval, PageId page);
+
   PageAccessBitmaps& PairFor(IntervalIndex interval, PageId page, bool* created);
 
   uint32_t words_per_page_;
+  // Indexed by page, grown lazily up to the highest page recorded.
+  std::vector<PageSlot> slots_;
+  uint64_t generation_ = 1;
   IntervalMap by_interval_;
   uint64_t total_pairs_ = 0;
   // DiscardThrough parks extracted map nodes (bitmap storage and all) here;

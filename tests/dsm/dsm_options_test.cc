@@ -31,6 +31,13 @@ TEST(DsmOptionsDeathTest, ZeroNodesAborts) {
   EXPECT_DEATH({ DsmSystem system(options); }, "CHECK failed");
 }
 
+TEST(DsmOptionsDeathTest, NonPowerOfTwoPageSizeAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  DsmOptions options = Valid();
+  options.page_size = 96;  // A multiple of the word size, but not a power of two.
+  EXPECT_DEATH({ DsmSystem system(options); }, "must be a power of two");
+}
+
 TEST(DsmOptionsDeathTest, SecondRunWithoutResetAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(

@@ -4,6 +4,13 @@
 // discard it then), while postmortem tracing retains everything.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <set>
+
+#include "src/apps/sor.h"
+#include "src/apps/tsp.h"
+#include "src/apps/water.h"
 #include "src/dsm/dsm.h"
 #include "src/dsm/handles.h"
 
@@ -76,6 +83,79 @@ TEST(DsmStorageTest, ConsolidationBoundsLockOnlyPhases) {
   RunResult bounded = run(true);
   EXPECT_LT(bounded.max_interval_log_size * 3, unbounded.max_interval_log_size)
       << "consolidation must garbage-collect interval records";
+}
+
+// The access shim opens a read notice exactly on the first read of a page
+// in an interval, as reported by the bitmap store (docs/PERFORMANCE.md §1).
+// So every interval's read notices must be exactly the pages whose read
+// bitmap for that interval is non-empty, and — under instrumentation write
+// detection — every page with a non-empty write bitmap must carry a write
+// notice.
+void ExpectNoticesMatchBitmaps(ParallelApp& app, const char* name) {
+  SCOPED_TRACE(name);
+  DsmOptions options;
+  options.num_nodes = 8;
+  options.page_size = 1024;
+  options.max_shared_bytes = 8ull << 20;
+  options.postmortem_trace = true;
+  DsmSystem system(options);
+  app.Setup(system);
+  system.Run([&](NodeContext& ctx) { app.Run(ctx); });
+  ASSERT_TRUE(app.Verify());
+
+  std::map<IntervalId, std::set<PageId>> read_pages;
+  std::map<IntervalId, std::set<PageId>> write_pages;
+  system.trace().ForEachBitmapPair(
+      [&](const IntervalId& interval, PageId page, const PageAccessBitmaps& pair) {
+        if (!pair.read.empty()) {
+          read_pages[interval].insert(page);
+        }
+        if (!pair.write.empty()) {
+          write_pages[interval].insert(page);
+        }
+      });
+  ASSERT_FALSE(read_pages.empty());
+  size_t records = 0;
+  std::set<IntervalId> recorded;
+  system.trace().ForEachRecord([&](const IntervalRecord& record) {
+    ++records;
+    recorded.insert(record.id);
+    const std::set<PageId> notices(record.read_pages.begin(), record.read_pages.end());
+    EXPECT_EQ(notices.size(), record.read_pages.size()) << record.ToString();
+    EXPECT_EQ(notices, read_pages[record.id]) << record.ToString();
+    for (PageId page : write_pages[record.id]) {
+      EXPECT_TRUE(record.WritesPage(page)) << "page " << page << " in " << record.ToString();
+    }
+  });
+  EXPECT_GT(records, 0u);
+  // No bitmap belongs to an interval that never published a record.
+  for (const auto& [interval, pages] : read_pages) {
+    EXPECT_TRUE(recorded.count(interval) == 1 || pages.empty()) << interval.ToString();
+  }
+}
+
+TEST(DsmStorageTest, ReadNoticesAreExactlyThePagesWithReadBits) {
+  SorApp::Params sor;
+  sor.rows = 34;
+  sor.cols = 32;
+  sor.iters = 3;
+  sor.page_size = 1024;
+  SorApp sor_app(sor);
+  ExpectNoticesMatchBitmaps(sor_app, "sor");
+
+  WaterApp::Params water;
+  water.molecules = 32;
+  water.iters = 2;
+  water.page_size = 1024;
+  WaterApp water_app(water);
+  ExpectNoticesMatchBitmaps(water_app, "water");
+
+  TspApp::Params tsp;
+  tsp.num_cities = 10;
+  tsp.prefix_depth = 2;
+  tsp.page_size = 1024;
+  TspApp tsp_app(tsp);
+  ExpectNoticesMatchBitmaps(tsp_app, "tsp");
 }
 
 }  // namespace

@@ -10,17 +10,18 @@ namespace {
 
 TEST(AccessFilterTest, ClassifiesSharedAndPrivate) {
   AccessFilter filter(1024, 8 * 1024);
-  // Shared access: page/word decomposition.
-  auto r = filter.OnAccess(SharedVa(1024 + 8), /*is_write=*/false);
-  EXPECT_TRUE(r.shared);
+  // Shared access, then its page/word decomposition.
+  EXPECT_TRUE(filter.OnAccess(SharedVa(1024 + 8), /*is_write=*/false));
+  auto r = filter.Locate(1024 + 8);
   EXPECT_EQ(r.page, 1);
   EXPECT_EQ(r.word, 2u);
+  auto last = filter.Locate(3 * 1024 + 1020);
+  EXPECT_EQ(last.page, 3);
+  EXPECT_EQ(last.word, 255u);
   // Private heap access.
-  auto p = filter.OnAccess(kPrivateHeapBase + 128, /*is_write=*/true);
-  EXPECT_FALSE(p.shared);
+  EXPECT_FALSE(filter.OnAccess(kPrivateHeapBase + 128, /*is_write=*/true));
   // Past the end of the shared segment: private.
-  auto q = filter.OnAccess(SharedVa(8 * 1024), false);
-  EXPECT_FALSE(q.shared);
+  EXPECT_FALSE(filter.OnAccess(SharedVa(8 * 1024), false));
 
   const AccessCounters& c = filter.counters();
   EXPECT_EQ(c.instrumented_calls, 3u);

@@ -2,6 +2,12 @@
 // the per-node bitmap store.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
+#include <set>
+#include <utility>
+
+#include "src/common/rng.h"
 #include "src/protocol/interval.h"
 
 namespace cvm {
@@ -106,6 +112,131 @@ TEST(BitmapStoreTest, ForEachPairVisitsEverything) {
     ++visits;
   });
   EXPECT_EQ(visits, 2);
+}
+
+TEST(BitmapStoreTest, RollbackReusingAnIntervalIndexStartsFresh) {
+  BitmapStore store(64);
+  EXPECT_TRUE(store.RecordRead(5, 2, 1));
+  EXPECT_TRUE(store.RecordWrite(5, 2, 1));
+  // Rollback to a cut that retained nothing, then interval 5 again: the
+  // page's cached slot must not claim the read/write were already seen.
+  store.Clear();
+  EXPECT_EQ(store.Find(5, 2), nullptr);
+  EXPECT_TRUE(store.RecordRead(5, 2, 3));
+  EXPECT_TRUE(store.RecordWrite(5, 2, 3));
+  EXPECT_FALSE(store.Find(5, 2)->read.Test(1));
+  // A restore overwrites the pair: its bits now decide "first access".
+  PageAccessBitmaps restored{Bitmap(64), Bitmap(64)};
+  restored.write.Set(9);
+  store.RestorePair(5, 2, restored);
+  EXPECT_TRUE(store.RecordRead(5, 2, 4));
+  EXPECT_FALSE(store.RecordWrite(5, 2, 4));
+  EXPECT_EQ(store.TotalPairsRecorded(), 2u);
+}
+
+// Differential test of the per-page slot cache: seeded random sequences of
+// recordings, discards, clears and checkpoint rollbacks (which bring back an
+// older interval index) against a plain std::map model of the store.
+TEST(BitmapStoreTest, MatchesMapModelUnderRandomSequences) {
+  constexpr uint32_t kWords = 64;
+  constexpr PageId kPages = 24;
+  struct PairModel {
+    std::set<uint32_t> read;
+    std::set<uint32_t> write;
+  };
+  using Model = std::map<std::pair<IntervalIndex, PageId>, PairModel>;
+  auto to_bitmaps = [](const PairModel& pair) {
+    PageAccessBitmaps bitmaps{Bitmap(kWords), Bitmap(kWords)};
+    for (uint32_t word : pair.read) {
+      bitmaps.read.Set(word);
+    }
+    for (uint32_t word : pair.write) {
+      bitmaps.write.Set(word);
+    }
+    return bitmaps;
+  };
+  auto matches = [](const Bitmap& bitmap, const std::set<uint32_t>& words) {
+    const std::vector<uint32_t> bits = bitmap.SetBits();
+    return std::set<uint32_t>(bits.begin(), bits.end()) == words;
+  };
+
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    BitmapStore store(kWords);
+    Model model;
+    uint64_t total = 0;
+    IntervalIndex current = 0;
+    IntervalIndex checkpoint_interval = 0;
+    Model checkpoint;
+
+    for (int step = 0; step < 600; ++step) {
+      const uint64_t op = rng.Below(100);
+      if (op < 70) {
+        // Mostly the current interval; now and then a recent one.
+        const IntervalIndex interval =
+            rng.Below(8) == 0 ? static_cast<IntervalIndex>(rng.Range(0, current)) : current;
+        // Mostly a few hot pages, so slots hit; sometimes any page.
+        const PageId page = static_cast<PageId>(rng.Below(4) == 0 ? rng.Below(kPages)
+                                                                  : rng.Below(3));
+        const auto word = static_cast<uint32_t>(rng.Below(kWords));
+        const bool is_write = rng.Below(3) == 0;
+        const auto key = std::make_pair(interval, page);
+        const bool created = model.find(key) == model.end();
+        total += created ? 1 : 0;
+        std::set<uint32_t>& words = is_write ? model[key].write : model[key].read;
+        const bool expect_first = words.empty();
+        words.insert(word);
+        const bool first = is_write ? store.RecordWrite(interval, page, word)
+                                    : store.RecordRead(interval, page, word);
+        ASSERT_EQ(first, expect_first) << "step " << step;
+      } else if (op < 82) {
+        ++current;  // Interval boundary.
+      } else if (op < 88) {
+        const auto up_to = static_cast<IntervalIndex>(rng.Range(-1, current));
+        store.DiscardThrough(up_to);
+        model.erase(model.begin(), model.upper_bound(std::make_pair(
+                                       up_to, std::numeric_limits<PageId>::max())));
+      } else if (op < 93) {
+        checkpoint = model;  // Barrier: capture the consistent cut.
+        checkpoint_interval = ++current;
+      } else if (op < 97) {
+        // Rollback: clear, restore the cut, resume at its (older) interval.
+        store.Clear();
+        for (const auto& [key, pair] : checkpoint) {
+          store.RestorePair(key.first, key.second, to_bitmaps(pair));
+        }
+        model = checkpoint;
+        current = checkpoint_interval;
+      } else {
+        store.Clear();
+        model.clear();
+      }
+
+      ASSERT_EQ(store.RetainedPairs(), model.size()) << "step " << step;
+      ASSERT_EQ(store.TotalPairsRecorded(), total) << "step " << step;
+      for (int probe = 0; probe < 4; ++probe) {
+        const auto interval = static_cast<IntervalIndex>(rng.Range(0, current));
+        const auto page = static_cast<PageId>(rng.Below(kPages));
+        const PageAccessBitmaps* found = store.Find(interval, page);
+        auto it = model.find(std::make_pair(interval, page));
+        ASSERT_EQ(found != nullptr, it != model.end()) << "step " << step;
+        if (found != nullptr) {
+          ASSERT_TRUE(matches(found->read, it->second.read)) << "step " << step;
+          ASSERT_TRUE(matches(found->write, it->second.write)) << "step " << step;
+        }
+      }
+    }
+    size_t visited = 0;
+    store.ForEachPair(0, [&](const IntervalId& id, PageId page, const PageAccessBitmaps& pair) {
+      auto it = model.find(std::make_pair(id.index, page));
+      ASSERT_NE(it, model.end());
+      EXPECT_TRUE(matches(pair.read, it->second.read));
+      EXPECT_TRUE(matches(pair.write, it->second.write));
+      ++visited;
+    });
+    EXPECT_EQ(visited, model.size());
+  }
 }
 
 }  // namespace
