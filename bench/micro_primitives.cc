@@ -5,6 +5,9 @@
 // page-overlap alternatives (pairwise lists vs dense page bitmaps).
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <utility>
+
 #include "src/common/bitmap.h"
 #include "src/common/rng.h"
 #include "src/mem/diff.h"
@@ -117,7 +120,7 @@ void BM_IntervalLogUnseen(benchmark::State& state) {
       r.vc = VectorClock(nodes);
       r.vc.Set(n, i);
       r.write_pages = {static_cast<PageId>(i % 16)};
-      log.Insert(r);
+      log.Insert(std::make_shared<const IntervalRecord>(std::move(r)));
     }
   }
   VectorClock vc(nodes);

@@ -160,7 +160,7 @@ void BarrierCoordinator::RunBarrier(std::unique_lock<std::mutex>& lk, EpochId ep
   BarrierArriveMsg arrive;
   arrive.epoch = epoch;
   arrive.node = node_.id_;
-  arrive.intervals = node_.log_.All();
+  arrive.intervals = node_.log_.AllRefs();
   arrive.vc = node_.vc_;
   arrive.arrive_time_ns = static_cast<uint64_t>(node_.timing_.now_ns());
   // Publish this epoch's overhead before arriving so the master's snapshot
@@ -168,7 +168,7 @@ void BarrierCoordinator::RunBarrier(std::unique_lock<std::mutex>& lk, EpochId ep
   node_.PublishOverheadLocked();
   node_.Send(0, std::move(arrive));
   const auto released = [this, epoch] {
-    return barrier_release_.has_value() && barrier_release_->epoch == epoch;
+    return barrier_release_.has_value() && barrier_release_->msg.epoch == epoch;
   };
   if (!node_.system_->crash_armed()) {
     node_.cv_.wait(lk, released);
@@ -185,35 +185,35 @@ void BarrierCoordinator::RunBarrier(std::unique_lock<std::mutex>& lk, EpochId ep
     }
     node_.ThrowIfAbortedLocked();
   }
-  BarrierReleaseMsg release = std::move(*barrier_release_);
+  Received<BarrierReleaseMsg> release = std::move(*barrier_release_);
   barrier_release_.reset();
-  const size_t bytes = PayloadByteSize(Payload(release));
-  const size_t rn_bytes = PayloadReadNoticeBytes(Payload(release));
-  node_.timing_.ObserveAtLeast(static_cast<double>(release.release_time_ns) +
-                               node_.opts_.costs.MessageCost(bytes - rn_bytes));
+  const size_t rn_bytes = release.read_notice_bytes;
+  node_.timing_.ObserveAtLeast(static_cast<double>(release.msg.release_time_ns) +
+                               node_.opts_.costs.MessageCost(release.wire_bytes - rn_bytes));
   if (rn_bytes > 0) {
     node_.timing_.Charge(Bucket::kCvmMods,
                          node_.opts_.costs.per_byte_ns * static_cast<double>(rn_bytes));
   }
-  node_.ApplyIntervalRecordsLocked(release.intervals);
-  node_.vc_.MergeWith(release.merged_vc);
+  node_.ApplyIntervalRecordsLocked(release.msg.intervals);
+  node_.vc_.MergeWith(release.msg.merged_vc);
   node_.GarbageCollectLocked();
 }
 
 void BarrierCoordinator::MasterRunBarrier(std::unique_lock<std::mutex>& lk, EpochId epoch) {
-  std::map<NodeId, ArrivalInfo> arrivals = std::move(arrivals_[epoch]);
+  std::map<NodeId, Received<BarrierArriveMsg>> arrivals = std::move(arrivals_[epoch]);
   arrivals_.erase(epoch);
 
   for (auto& [node, info] : arrivals) {
     node_.timing_.ObserveAtLeast(
-        info.time_ns + node_.opts_.costs.MessageCost(info.wire_bytes - info.read_notice_bytes));
+        static_cast<double>(info.msg.arrive_time_ns) +
+        node_.opts_.costs.MessageCost(info.wire_bytes - info.read_notice_bytes));
     if (info.read_notice_bytes > 0) {
       node_.timing_.Charge(Bucket::kCvmMods,
                            node_.opts_.costs.per_byte_ns *
                                static_cast<double>(info.read_notice_bytes));
     }
-    node_.ApplyIntervalRecordsLocked(info.records);
-    node_.vc_.MergeWith(info.vc);
+    node_.ApplyIntervalRecordsLocked(info.msg.intervals);
+    node_.vc_.MergeWith(info.msg.vc);
   }
 
   if (node_.opts_.race_detection && node_.opts_.online_detection) {
@@ -230,7 +230,7 @@ void BarrierCoordinator::MasterRunBarrier(std::unique_lock<std::mutex>& lk, Epoc
   for (NodeId node = 1; node < node_.opts_.num_nodes; ++node) {
     BarrierReleaseMsg release;
     release.epoch = epoch;
-    release.intervals = node_.log_.UnseenBy(arrivals[node].vc);
+    release.intervals = node_.log_.UnseenBy(arrivals[node].msg.vc);
     release.merged_vc = node_.vc_;
     release.release_time_ns = static_cast<uint64_t>(node_.timing_.now_ns());
     node_.Send(node, std::move(release));
@@ -325,12 +325,10 @@ void BarrierCoordinator::RunRaceDetection(std::unique_lock<std::mutex>& lk, Epoc
 }
 
 std::vector<IntervalRecord> BarrierCoordinator::CurrentEpochRecords(EpochId epoch) const {
-  std::vector<IntervalRecord> all = node_.log_.All();
   std::vector<IntervalRecord> out;
-  out.reserve(all.size());
-  for (IntervalRecord& r : all) {
-    if (r.epoch == epoch) {
-      out.push_back(std::move(r));
+  for (const RecordRef& r : node_.log_.AllRefs()) {
+    if (r->epoch == epoch) {
+      out.push_back(*r);
     }
   }
   return out;
@@ -742,7 +740,7 @@ void BarrierCoordinator::TreeRunBarrier(std::unique_lock<std::mutex>& lk, EpochI
       node_.ThrowIfAbortedLocked();
     }
   }
-  std::map<NodeId, TreeArrival> arrivals = std::move(tree_arrivals_[epoch]);
+  std::map<NodeId, Received<BarrierTreeArriveMsg>> arrivals = std::move(tree_arrivals_[epoch]);
   tree_arrivals_.erase(epoch);
 
   // Fold each child subtree into this node: log records, max/min clocks,
@@ -894,7 +892,7 @@ void BarrierCoordinator::TreeRunBarrier(std::unique_lock<std::mutex>& lk, EpochI
   BarrierTreeArriveMsg up;
   up.epoch = epoch;
   up.node = node_.id_;
-  up.intervals = node_.log_.All();
+  up.intervals = node_.log_.AllRefs();
   up.vc = node_.vc_;
   up.min_vc = std::move(min_vc);
   up.fragments = std::move(fragments);
@@ -932,7 +930,7 @@ void BarrierCoordinator::TreeRunBarrier(std::unique_lock<std::mutex>& lk, EpochI
     }
     node_.ThrowIfAbortedLocked();
   }
-  TreeRelease release = std::move(*tree_release_);
+  Received<BarrierTreeReleaseMsg> release = std::move(*tree_release_);
   tree_release_.reset();
   timing.ObserveAtLeast(static_cast<double>(release.msg.release_time_ns) +
                         opts.costs.MessageCost(release.wire_bytes - release.read_notice_bytes));
@@ -967,10 +965,11 @@ void BarrierCoordinator::SendTreeReleasesLocked(EpochId epoch,
     // stragglers appear only at homes, so they are covered despite
     // postdating the snapshot. Read notices are stripped for the same
     // reason records are: below the root they only feed the (already
-    // finished) race check.
-    for (IntervalRecord& record : node_.log_.UnseenBy(state.min_vc)) {
+    // finished) race check. Stripping makes a new record (published records
+    // are shared and immutable); one without read notices travels as is.
+    for (RecordRef& record : node_.log_.UnseenBy(state.min_vc)) {
       bool relevant = false;
-      for (PageId page : record.write_pages) {
+      for (PageId page : record->write_pages) {
         if (state.interest.Test(static_cast<uint32_t>(page))) {
           relevant = true;
           break;
@@ -979,7 +978,11 @@ void BarrierCoordinator::SendTreeReleasesLocked(EpochId epoch,
       if (!relevant) {
         continue;
       }
-      record.read_pages.clear();
+      if (!record->read_pages.empty()) {
+        IntervalRecord stripped = *record;
+        stripped.read_pages.clear();
+        record = std::make_shared<const IntervalRecord>(std::move(stripped));
+      }
       release.intervals.push_back(std::move(record));
     }
     release.release_time_ns = static_cast<uint64_t>(node_.timing_.now_ns());
@@ -1000,11 +1003,7 @@ void BarrierCoordinator::OnTreeArrive(const Message& msg) {
       mh_.tree_fragments->Add(arrive.fragments.size());
     }
   }
-  TreeArrival info;
-  info.msg = arrive;
-  info.wire_bytes = msg.wire_bytes;
-  info.read_notice_bytes = PayloadReadNoticeBytes(msg.payload);
-  tree_arrivals_[arrive.epoch][arrive.node] = std::move(info);
+  tree_arrivals_[arrive.epoch][arrive.node] = ReceivedFrom<BarrierTreeArriveMsg>(msg);
   node_.cv_.notify_all();
 }
 
@@ -1019,11 +1018,7 @@ void BarrierCoordinator::OnTreeRelease(const Message& msg) {
       mh_.tree_down_bytes->Add(msg.wire_bytes);
     }
   }
-  TreeRelease info;
-  info.msg = release;
-  info.wire_bytes = msg.wire_bytes;
-  info.read_notice_bytes = PayloadReadNoticeBytes(msg.payload);
-  tree_release_ = std::move(info);
+  tree_release_ = ReceivedFrom<BarrierTreeReleaseMsg>(msg);
   node_.cv_.notify_all();
 }
 
@@ -1099,13 +1094,7 @@ void BarrierCoordinator::OnBarrierArrive(const Message& msg) {
   if (arrive.epoch < node_.epoch_) {
     return;  // The master already ran this epoch's barrier: stale re-delivery.
   }
-  ArrivalInfo info;
-  info.records = arrive.intervals;
-  info.vc = arrive.vc;
-  info.time_ns = static_cast<double>(arrive.arrive_time_ns);
-  info.wire_bytes = msg.wire_bytes;
-  info.read_notice_bytes = PayloadReadNoticeBytes(msg.payload);
-  arrivals_[arrive.epoch][arrive.node] = std::move(info);
+  arrivals_[arrive.epoch][arrive.node] = ReceivedFrom<BarrierArriveMsg>(msg);
   node_.cv_.notify_all();
 }
 
@@ -1115,7 +1104,7 @@ void BarrierCoordinator::OnBarrierRelease(const Message& msg) {
   if (barrier_release_.has_value() || release.epoch < node_.epoch_) {
     return;  // This epoch's release already landed: stale re-delivery.
   }
-  barrier_release_ = release;
+  barrier_release_ = ReceivedFrom<BarrierReleaseMsg>(msg);
   node_.cv_.notify_all();
 }
 

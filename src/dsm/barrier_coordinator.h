@@ -175,22 +175,12 @@ class BarrierCoordinator {
   Node& node_;
 
   // Worker-side release slot.
-  std::optional<BarrierReleaseMsg> barrier_release_;
+  std::optional<Received<BarrierReleaseMsg>> barrier_release_;
 
   // ---- Combine-tree state ----
-  struct TreeArrival {
-    BarrierTreeArriveMsg msg;
-    size_t wire_bytes = 0;
-    size_t read_notice_bytes = 0;
-  };
-  std::map<EpochId, std::map<NodeId, TreeArrival>> tree_arrivals_;
+  std::map<EpochId, std::map<NodeId, Received<BarrierTreeArriveMsg>>> tree_arrivals_;
   // Non-root release slot (parent -> this subtree).
-  struct TreeRelease {
-    BarrierTreeReleaseMsg msg;
-    size_t wire_bytes = 0;
-    size_t read_notice_bytes = 0;
-  };
-  std::optional<TreeRelease> tree_release_;
+  std::optional<Received<BarrierTreeReleaseMsg>> tree_release_;
   // Per-child release-tailoring state for the barrier in flight: the child
   // subtree's min VC and page-interest set, captured from its arrival.
   struct TreeChildState {
@@ -227,14 +217,7 @@ class BarrierCoordinator {
   InternStats intern_stats_;
 
   // Barrier master state.
-  struct ArrivalInfo {
-    std::vector<IntervalRecord> records;
-    VectorClock vc;
-    double time_ns = 0;
-    size_t wire_bytes = 0;
-    size_t read_notice_bytes = 0;
-  };
-  std::map<EpochId, std::map<NodeId, ArrivalInfo>> arrivals_;
+  std::map<EpochId, std::map<NodeId, Received<BarrierArriveMsg>>> arrivals_;
 
   // Master-side bitmap collection for the current detection round.
   std::map<std::pair<IntervalId, PageId>, PageAccessBitmaps> collected_bitmaps_;

@@ -54,8 +54,8 @@ void LockManager::Grant(LockId lock, NodeId requester, const VectorClock& reques
   }
   // Only intervals preceding the release travel with the grant; newer local
   // intervals are concurrent with the acquirer and must stay that way.
-  for (IntervalRecord& record : node_.log_.UnseenBy(requester_vc)) {
-    if (record.id.index <= ls.release_vc.At(record.id.node)) {
+  for (RecordRef& record : node_.log_.UnseenBy(requester_vc)) {
+    if (record->id.index <= ls.release_vc.At(record->id.node)) {
       grant.intervals.push_back(std::move(record));
     }
   }
@@ -123,12 +123,12 @@ void LockManager::Acquire(std::unique_lock<std::mutex>& lk, LockId lock) {
   node_.ThrowIfAbortedLocked();
   waiting_lock_ = -1;
   if (lock_grant_.has_value()) {
-    LockGrantMsg grant = std::move(*lock_grant_);
+    Received<LockGrantMsg> received = std::move(*lock_grant_);
     lock_grant_.reset();
-    const size_t bytes = PayloadByteSize(Payload(grant));
-    const size_t rn_bytes = PayloadReadNoticeBytes(Payload(grant));
+    LockGrantMsg& grant = received.msg;
+    const size_t rn_bytes = received.read_notice_bytes;
     node_.timing_.ObserveAtLeast(static_cast<double>(grant.releaser_time_ns) +
-                                 opts.costs.MessageCost(bytes - rn_bytes));
+                                 opts.costs.MessageCost(received.wire_bytes - rn_bytes));
     if (rn_bytes > 0) {
       node_.timing_.Charge(Bucket::kCvmMods,
                            opts.costs.per_byte_ns * static_cast<double>(rn_bytes));
@@ -234,7 +234,7 @@ void LockManager::OnLockGrant(const Message& msg) {
   if (waiting_lock_ != grant.lock || lock_grant_.has_value()) {
     return;  // Matches no outstanding acquire: stale re-delivery.
   }
-  lock_grant_ = grant;
+  lock_grant_ = ReceivedFrom<LockGrantMsg>(msg);
   node_.cv_.notify_all();
 }
 

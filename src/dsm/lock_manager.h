@@ -85,7 +85,7 @@ class LockManager {
   // Reply slot for the single outstanding acquire (the app thread is the
   // only requester). The grant handler tolerates grants matching no
   // outstanding acquire — stale re-deliveries.
-  std::optional<LockGrantMsg> lock_grant_;
+  std::optional<Received<LockGrantMsg>> lock_grant_;
   bool lock_granted_self_ = false;  // Token granted locally (no payload).
   LockId waiting_lock_ = -1;
 };

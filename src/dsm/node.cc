@@ -1,6 +1,7 @@
 #include "src/dsm/node.h"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -435,15 +436,17 @@ void Node::EndIntervalLocked(std::unique_lock<std::mutex>& lk) {
   // (single-writer family).
   protocol_->OnIntervalEnd(lk);
 
-  IntervalRecord record;
-  record.id = IntervalId{id_, cur_interval_};
-  record.vc = vc_;
-  record.epoch = epoch_;
-  record.write_pages.assign(cur_writes_.begin(), cur_writes_.end());
-  record.read_pages.assign(cur_reads_.begin(), cur_reads_.end());
+  IntervalRecord built;
+  built.id = IntervalId{id_, cur_interval_};
+  built.vc = vc_;
+  built.epoch = epoch_;
+  built.write_pages.assign(cur_writes_.begin(), cur_writes_.end());
+  built.read_pages.assign(cur_reads_.begin(), cur_reads_.end());
+  // Published: from here on the record is shared, never copied or edited.
+  const RecordRef record = std::make_shared<const IntervalRecord>(std::move(built));
   log_.Insert(record);
   if (opts_.race_detection && opts_.postmortem_trace) {
-    system_->trace().AddRecord(record);
+    system_->trace().AddRecord(*record);
   }
   max_log_size_ = std::max(max_log_size_, log_.size());
   max_retained_pairs_ = std::max(max_retained_pairs_, bitmaps_.RetainedPairs());
@@ -465,20 +468,20 @@ void Node::EndIntervalLocked(std::unique_lock<std::mutex>& lk) {
 
   // Post-publish action: ERC pushes the record to every node and blocks for
   // acks; the lazy protocols do nothing here.
-  protocol_->OnIntervalPublished(lk, record);
+  protocol_->OnIntervalPublished(lk, *record);
 }
 
-void Node::ApplyIntervalRecordsLocked(const std::vector<IntervalRecord>& records) {
-  for (const IntervalRecord& record : records) {
-    if (log_.Contains(record.id)) {
-      protocol_->OnDuplicateRecord(record);
+void Node::ApplyIntervalRecordsLocked(const std::vector<RecordRef>& records) {
+  for (const RecordRef& record : records) {
+    if (log_.Contains(record->id)) {
+      protocol_->OnDuplicateRecord(*record);
       continue;
     }
     log_.Insert(record);
-    if (record.id.node == id_) {
+    if (record->id.node == id_) {
       continue;
     }
-    protocol_->ApplyWriteNotices(record);
+    protocol_->ApplyWriteNotices(*record);
   }
 }
 
@@ -689,7 +692,7 @@ void Node::CaptureCheckpointLocked() {
   cp.epoch = epoch_;
   cp.vc = vc_;
   cp.cur_interval = cur_interval_;
-  cp.log = log_.All();
+  cp.log = log_.AllRefs();
   bitmaps_.ForEachPair(id_, [&cp](const IntervalId& interval, PageId page,
                                   const PageAccessBitmaps& pair) {
     CheckpointBitmapPair entry;
@@ -716,7 +719,7 @@ size_t Node::RollbackToCheckpointLocked() {
   vc_ = cp.vc;
   cur_interval_ = cp.cur_interval;
   log_.Clear();
-  for (const IntervalRecord& record : cp.log) {
+  for (const RecordRef& record : cp.log) {
     log_.Insert(record);
   }
   bitmaps_.Clear();

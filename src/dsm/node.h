@@ -171,7 +171,7 @@ class Node : public ProtocolHost {
     EpochId epoch = 0;
     VectorClock vc;
     IntervalIndex cur_interval = 0;
-    std::vector<IntervalRecord> log;
+    std::vector<RecordRef> log;  // Shared with the live log: records are immutable.
     std::vector<CheckpointBitmapPair> bitmaps;
     LockManager::Snapshot locks;
     size_t reports_published = 0;  // Master only: prefix of system reports.
@@ -246,7 +246,7 @@ class Node : public ProtocolHost {
   // ---- Interval machinery (mu_ held) ----
   void EndIntervalLocked(std::unique_lock<std::mutex>& lk);
   void BeginIntervalLocked();
-  void ApplyIntervalRecordsLocked(const std::vector<IntervalRecord>& records);
+  void ApplyIntervalRecordsLocked(const std::vector<RecordRef>& records);
   void GarbageCollectLocked();
 
   // ---- Cost helpers (mu_ held) ----

@@ -3,18 +3,20 @@
 namespace cvm {
 namespace {
 
-size_t IntervalsByteSize(const std::vector<IntervalRecord>& records) {
+// Interval lists travel as shared record handles; sizes read through them,
+// so the modeled wire bytes are those of the records themselves.
+size_t IntervalsByteSize(const std::vector<RecordRef>& records) {
   size_t n = sizeof(uint32_t);
-  for (const IntervalRecord& r : records) {
-    n += r.ByteSize();
+  for (const RecordRef& r : records) {
+    n += r->ByteSize();
   }
   return n;
 }
 
-size_t IntervalsReadNoticeBytes(const std::vector<IntervalRecord>& records) {
+size_t IntervalsReadNoticeBytes(const std::vector<RecordRef>& records) {
   size_t n = 0;
-  for (const IntervalRecord& r : records) {
-    n += r.ReadNoticeByteSize();
+  for (const RecordRef& r : records) {
+    n += r->ReadNoticeByteSize();
   }
   return n;
 }
@@ -22,10 +24,10 @@ size_t IntervalsReadNoticeBytes(const std::vector<IntervalRecord>& records) {
 // The combine-tree messages ship interval records with their vector clocks
 // modeled run-length-encoded (barrier-time clocks are near-uniform), so one
 // record costs O(runs) instead of O(nodes) on a tree edge.
-size_t RleIntervalsByteSize(const std::vector<IntervalRecord>& records) {
+size_t RleIntervalsByteSize(const std::vector<RecordRef>& records) {
   size_t n = sizeof(uint32_t);
-  for (const IntervalRecord& r : records) {
-    n += r.ByteSize() - r.vc.ByteSize() + r.vc.RleByteSize();
+  for (const RecordRef& r : records) {
+    n += r->ByteSize() - r->vc.ByteSize() + r->vc.RleByteSize();
   }
   return n;
 }

@@ -59,7 +59,7 @@ struct LockRequestMsg {
 
 struct LockGrantMsg {
   LockId lock = -1;
-  std::vector<IntervalRecord> intervals;  // Unseen by the requester.
+  std::vector<RecordRef> intervals;  // Unseen by the requester.
   VectorClock releaser_vc;
   uint64_t releaser_time_ns = 0;  // Simulated release timestamp.
   // Replay mode: still-queued requests travel with the token so the new
@@ -72,7 +72,7 @@ struct LockGrantMsg {
 struct BarrierArriveMsg {
   EpochId epoch = -1;
   NodeId node = kNoNode;
-  std::vector<IntervalRecord> intervals;  // Unseen by the master.
+  std::vector<RecordRef> intervals;  // Unseen by the master.
   VectorClock vc;
   uint64_t arrive_time_ns = 0;
 };
@@ -173,7 +173,7 @@ struct CompareReplyMsg {
 
 struct BarrierReleaseMsg {
   EpochId epoch = -1;
-  std::vector<IntervalRecord> intervals;  // Unseen by this worker.
+  std::vector<RecordRef> intervals;  // Unseen by this worker.
   VectorClock merged_vc;
   uint64_t release_time_ns = 0;
 };
@@ -199,7 +199,7 @@ struct TreeFragmentPair {
 struct BarrierTreeArriveMsg {
   EpochId epoch = -1;
   NodeId node = kNoNode;  // The subtree root sending this.
-  std::vector<IntervalRecord> intervals;
+  std::vector<RecordRef> intervals;
   VectorClock vc;      // Element-wise max over the subtree.
   VectorClock min_vc;  // Element-wise min over the subtree.
   std::vector<TreeFragmentPair> fragments;
@@ -216,7 +216,7 @@ struct BarrierTreeArriveMsg {
 // per grandchild subtree before forwarding it down.
 struct BarrierTreeReleaseMsg {
   EpochId epoch = -1;
-  std::vector<IntervalRecord> intervals;
+  std::vector<RecordRef> intervals;
   VectorClock merged_vc;
   uint64_t release_time_ns = 0;
 };
@@ -316,6 +316,24 @@ size_t PayloadReadNoticeBytes(const Payload& payload);
 // i.e. the bytes a Message copy (retransmission hold, parked reply) shares
 // instead of duplicating. Feeds NetworkStats::zero_copy_bytes_shared.
 size_t PayloadSharedBytes(const Payload& payload);
+
+// A payload a handler parked for its node's app thread, with the sizes the
+// network stamped on the message. The waiting thread charges these instead
+// of re-sizing the payload (which would walk every interval record again).
+template <typename T>
+struct Received {
+  T msg;
+  size_t wire_bytes = 0;         // Message::wire_bytes.
+  size_t read_notice_bytes = 0;  // PayloadReadNoticeBytes(payload).
+};
+
+// Copies msg's T payload out with its sizes. Cheap for the interval-carrying
+// kinds: their records are shared handles.
+template <typename T>
+Received<T> ReceivedFrom(const Message& msg) {
+  return Received<T>{std::get<T>(msg.payload), msg.wire_bytes,
+                     PayloadReadNoticeBytes(msg.payload)};
+}
 
 }  // namespace cvm
 

@@ -1,5 +1,6 @@
 #include "src/net/network.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -17,7 +18,8 @@ uint64_t WallNs() {
 
 }  // namespace
 
-Network::Network(int num_nodes) : num_nodes_(num_nodes) {
+Network::Network(int num_nodes)
+    : num_nodes_(num_nodes), by_sender_(static_cast<size_t>(num_nodes) + 1) {
   CVM_CHECK_GT(num_nodes, 0);
   inboxes_.reserve(num_nodes);
   dead_.reserve(num_nodes);
@@ -79,18 +81,17 @@ void Network::AttachFaultInjector(const fault::FaultInjector* injector) {
   }
 }
 
-void Network::AccountWire(const Message& message, const char* kind,
-                          size_t read_notice_bytes) {
+void Network::AccountWire(const Message& message, size_t read_notice_bytes) {
+  CVM_CHECK_GE(message.from, kNoNode);
+  CVM_CHECK_LT(message.from, num_nodes_);
   {
-    // Totals and per-kind maps move together: one critical section.
+    // Totals and per-kind counts move together: one critical section.
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.messages += 1;
     stats_.bytes += message.wire_bytes;
     stats_.read_notice_bytes += read_notice_bytes;
-    stats_.messages_by_kind[kind] += 1;
-    stats_.bytes_by_kind[kind] += message.wire_bytes;
-    stats_.messages_by_sender[message.from] += 1;
-    stats_.bytes_by_sender[message.from] += message.wire_bytes;
+    by_kind_[message.payload.index()].Add(message.wire_bytes);
+    by_sender_[static_cast<size_t>(message.from + 1)].Add(message.wire_bytes);
   }
 
   if constexpr (obs::kObsCompiledIn) {
@@ -110,7 +111,7 @@ void Network::AccountWire(const Message& message, const char* kind,
       event.arg2_name = "to";
       event.arg2_value = static_cast<uint64_t>(message.to);
       event.str_arg_name = "kind";
-      event.str_arg_value = kind;
+      event.str_arg_value = message.KindName();
       tracer_->Emit(event);
     }
   }
@@ -181,7 +182,7 @@ void Network::SendDirect(Message message) {
     message.send_wall_ns = WallNs();
     StampFlow(message);
   }
-  AccountWire(message, message.KindName(), PayloadReadNoticeBytes(message.payload));
+  AccountWire(message, PayloadReadNoticeBytes(message.payload));
   PushInbox(std::move(message));
 }
 
@@ -205,7 +206,6 @@ SendOutcome Network::SendReliable(Message message) {
     message.send_wall_ns = WallNs();
     StampFlow(message);
   }
-  const char* kind = message.KindName();
   const size_t rn_bytes = PayloadReadNoticeBytes(message.payload);
   // Every Message copy below (held frames, per-attempt delivery handoffs)
   // shares this many payload bytes by refcount instead of duplicating them.
@@ -242,7 +242,7 @@ SendOutcome Network::SendReliable(Message message) {
     bool acked = false;
     if (!decision.deliver) {
       ++fstats_.drops;
-      AccountWire(message, kind, rn_bytes);  // It left the sender's NIC.
+      AccountWire(message, rn_bytes);  // It left the sender's NIC.
       if constexpr (obs::kObsCompiledIn) {
         if (fault_drops_ != nullptr) {
           fault_drops_->Increment();
@@ -253,17 +253,17 @@ SendOutcome Network::SendReliable(Message message) {
       // delay_hops more frames have been delivered on this pair.
       ++fstats_.delayed;
       penalty_ns += injector_->DelayNs(decision.delay_hops);
-      AccountWire(message, kind, rn_bytes);
+      AccountWire(message, rn_bytes);
       ++message_copies;
       pair.held.push_back(
           PairState::Held{message, seq, pair.delivery_ticks + decision.delay_hops});
     } else {
-      AccountWire(message, kind, rn_bytes);
+      AccountWire(message, rn_bytes);
       ++message_copies;
       acked = DeliverFrameLocked(pair, message, seq, decision.corrupt, attempt);
       if (decision.duplicate) {
         ++fstats_.dup_frames;
-        AccountWire(message, kind, rn_bytes);
+        AccountWire(message, rn_bytes);
         ++message_copies;
         acked = DeliverFrameLocked(pair, message, seq, false, attempt) || acked;
       }
@@ -293,7 +293,7 @@ SendOutcome Network::SendReliable(Message message) {
         event.arg2_name = "to";
         event.arg2_value = static_cast<uint64_t>(to);
         event.str_arg_name = "kind";
-        event.str_arg_value = kind;
+        event.str_arg_value = message.KindName();
         tracer_->Emit(event);
       }
     }
@@ -452,7 +452,21 @@ void Network::Close() {
 
 NetworkStats Network::stats() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
+  NetworkStats out = stats_;
+  for (size_t kind = 0; kind < kNumPayloadKinds; ++kind) {
+    if (by_kind_[kind].messages > 0) {
+      out.messages_by_kind[PayloadKindName(kind)] = by_kind_[kind].messages;
+      out.bytes_by_kind[PayloadKindName(kind)] = by_kind_[kind].bytes;
+    }
+  }
+  for (size_t slot = 0; slot < by_sender_.size(); ++slot) {
+    if (by_sender_[slot].messages > 0) {
+      const auto sender = static_cast<NodeId>(slot) - 1;
+      out.messages_by_sender[sender] = by_sender_[slot].messages;
+      out.bytes_by_sender[sender] = by_sender_[slot].bytes;
+    }
+  }
+  return out;
 }
 
 fault::FaultStats Network::fault_stats() const {
@@ -466,6 +480,8 @@ void Network::ResetStats() {
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_ = NetworkStats{};
+    by_kind_.fill(TrafficCount{});
+    std::fill(by_sender_.begin(), by_sender_.end(), TrafficCount{});
   }
   std::lock_guard<std::mutex> fault_lock(fault_mu_);
   fstats_ = fault::FaultStats{};

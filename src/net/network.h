@@ -14,6 +14,7 @@
 #ifndef CVM_NET_NETWORK_H_
 #define CVM_NET_NETWORK_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -160,7 +161,7 @@ class Network {
   SendOutcome UnreachableLocked(double penalty_ns, uint32_t attempts);
 
   // Wire accounting + msg.send trace event for one transmission attempt.
-  void AccountWire(const Message& message, const char* kind, size_t read_notice_bytes);
+  void AccountWire(const Message& message, size_t read_notice_bytes);
   // Receiver-side acceptance of one frame (fault_mu_ held): duplicate
   // suppression, reorder buffering, in-order enqueue, held-frame release.
   // Returns true iff the frame was accepted AND its ack survived.
@@ -180,8 +181,23 @@ class Network {
   // (which runs under the inbox lock) never nests another mutex.
   std::atomic<bool> closed_{false};
 
+  // Messages and wire bytes of one traffic class.
+  struct TrafficCount {
+    uint64_t messages = 0;
+    uint64_t bytes = 0;
+    void Add(size_t wire_bytes) {
+      messages += 1;
+      bytes += wire_bytes;
+    }
+  };
+
+  // Totals live in stats_; its per-kind and per-sender maps stay empty
+  // there. The send path counts those into fixed arrays instead, and
+  // stats() builds the maps from them.
   mutable std::mutex stats_mu_;
   NetworkStats stats_;
+  std::array<TrafficCount, kNumPayloadKinds> by_kind_{};  // By Payload::index().
+  std::vector<TrafficCount> by_sender_;  // By sender + 1; slot 0 is kNoNode.
 
   // Reliable transport (null injector = clean path). Lock order:
   // fault_mu_ -> stats_mu_ / inbox.mu; Recv takes only inbox.mu.

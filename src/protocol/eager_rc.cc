@@ -1,5 +1,6 @@
 #include "src/protocol/eager_rc.h"
 
+#include <memory>
 #include <utility>
 
 #include "src/common/check.h"
@@ -62,7 +63,7 @@ void EagerRcInvalidate::OnErcUpdate(const Message& msg) {
   const auto& update = std::get<ErcUpdateMsg>(msg.payload);
   std::lock_guard<std::mutex> guard(host_.mu());
   if (!host_.log().Contains(update.record.id)) {
-    host_.log().Insert(update.record);
+    host_.log().Insert(std::make_shared<const IntervalRecord>(update.record));
     if (update.record.id.node != host_.self()) {
       eager_only_.insert(update.record.id);
       InvalidateUnlessOwner(update.record.write_pages);

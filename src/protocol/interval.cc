@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "src/common/check.h"
 
@@ -129,20 +130,22 @@ size_t BitmapStore::RetainedPairs() const {
   return n;
 }
 
-void IntervalLog::Insert(const IntervalRecord& record) {
-  CVM_CHECK_GE(record.id.node, 0);
-  CVM_CHECK_LT(record.id.node, static_cast<NodeId>(by_node_.size()));
-  RecordMap& node_map = by_node_[record.id.node];
-  if (node_map.find(record.id.index) != node_map.end()) {
+void IntervalLog::Insert(RecordRef record) {
+  CVM_CHECK(record != nullptr);
+  const IntervalId id = record->id;
+  CVM_CHECK_GE(id.node, 0);
+  CVM_CHECK_LT(id.node, static_cast<NodeId>(by_node_.size()));
+  RecordMap& node_map = by_node_[id.node];
+  if (node_map.find(id.index) != node_map.end()) {
     return;  // Already known (emplace used to ignore the duplicate too).
   }
   auto handle = record_pool_.Acquire();
   if (handle.empty()) {
-    node_map.emplace(record.id.index, record);
+    node_map.emplace(id.index, std::move(record));
     return;
   }
-  handle.key() = record.id.index;
-  handle.mapped() = record;  // Copy-assign: page-list vectors reuse capacity.
+  handle.key() = id.index;
+  handle.mapped() = std::move(record);
   node_map.insert(std::move(handle));
 }
 
@@ -153,11 +156,11 @@ const IntervalRecord* IntervalLog::Find(const IntervalId& id) const {
     return nullptr;
   }
   auto it = by_node_[id.node].find(id.index);
-  return it == by_node_[id.node].end() ? nullptr : &it->second;
+  return it == by_node_[id.node].end() ? nullptr : it->second.get();
 }
 
-std::vector<IntervalRecord> IntervalLog::UnseenBy(const VectorClock& vc) const {
-  std::vector<IntervalRecord> out;
+std::vector<RecordRef> IntervalLog::UnseenBy(const VectorClock& vc) const {
+  std::vector<RecordRef> out;
   for (size_t p = 0; p < by_node_.size(); ++p) {
     const IntervalIndex seen = vc.At(static_cast<NodeId>(p));
     for (auto it = by_node_[p].upper_bound(seen); it != by_node_[p].end(); ++it) {
@@ -167,8 +170,9 @@ std::vector<IntervalRecord> IntervalLog::UnseenBy(const VectorClock& vc) const {
   return out;
 }
 
-std::vector<IntervalRecord> IntervalLog::All() const {
-  std::vector<IntervalRecord> out;
+std::vector<RecordRef> IntervalLog::AllRefs() const {
+  std::vector<RecordRef> out;
+  out.reserve(size());
   for (const auto& node_map : by_node_) {
     for (const auto& [index, record] : node_map) {
       out.push_back(record);
@@ -177,12 +181,28 @@ std::vector<IntervalRecord> IntervalLog::All() const {
   return out;
 }
 
+std::vector<IntervalRecord> IntervalLog::All() const {
+  std::vector<IntervalRecord> out;
+  out.reserve(size());
+  for (const auto& node_map : by_node_) {
+    for (const auto& [index, record] : node_map) {
+      out.push_back(*record);
+    }
+  }
+  return out;
+}
+
+void IntervalLog::ReleaseNode(RecordMap::node_type node) {
+  node.mapped().reset();
+  record_pool_.Release(std::move(node));
+}
+
 void IntervalLog::DiscardDominatedBy(const VectorClock& vc) {
   for (size_t p = 0; p < by_node_.size(); ++p) {
     const IntervalIndex limit = vc.At(static_cast<NodeId>(p));
     auto& node_map = by_node_[p];
     while (!node_map.empty() && node_map.begin()->first <= limit) {
-      record_pool_.Release(node_map.extract(node_map.begin()));
+      ReleaseNode(node_map.extract(node_map.begin()));
     }
   }
 }
@@ -190,7 +210,7 @@ void IntervalLog::DiscardDominatedBy(const VectorClock& vc) {
 void IntervalLog::Clear() {
   for (auto& node_map : by_node_) {
     while (!node_map.empty()) {
-      record_pool_.Release(node_map.extract(node_map.begin()));
+      ReleaseNode(node_map.extract(node_map.begin()));
     }
   }
 }

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,7 +21,7 @@
 namespace cvm {
 
 // Wire-transferable summary of one interval. This is what rides on lock
-// grants and barrier messages.
+// grants and barrier messages, as a shared RecordRef (below).
 struct IntervalRecord {
   IntervalId id;
   VectorClock vc;                  // Version vector at interval creation.
@@ -42,6 +43,12 @@ struct IntervalRecord {
 
   std::string ToString() const;
 };
+
+// Shared handle to a published record. A record is immutable once published:
+// every interval log and message that holds it shares one allocation, so
+// nothing may edit it in place. A variant (e.g. with read notices stripped)
+// is a new record.
+using RecordRef = std::shared_ptr<const IntervalRecord>;
 
 // Word-granularity read/write bitmaps for the pages one interval touched.
 struct PageAccessBitmaps {
@@ -162,17 +169,22 @@ class IntervalLog {
  public:
   explicit IntervalLog(int num_nodes) : by_node_(num_nodes) {}
 
-  // Inserts (or ignores, if already known) a record.
-  void Insert(const IntervalRecord& record);
+  // Inserts (or ignores, if already known) a record. The log shares the
+  // record; it never copies it.
+  void Insert(RecordRef record);
 
   bool Contains(const IntervalId& id) const;
   const IntervalRecord* Find(const IntervalId& id) const;
 
   // All records the given clock has not seen: record (p, i) is unseen iff
   // vc[p] < i. Returned in a causally-safe order (per node, ascending index).
-  std::vector<IntervalRecord> UnseenBy(const VectorClock& vc) const;
+  std::vector<RecordRef> UnseenBy(const VectorClock& vc) const;
 
-  // All records currently in the log.
+  // All records currently in the log, in the same order.
+  std::vector<RecordRef> AllRefs() const;
+
+  // Deep copies of all records, for by-value consumers (the race detector's
+  // check-list build).
   std::vector<IntervalRecord> All() const;
 
   // Drops every record dominated by the clock: record (p, i) with
@@ -189,12 +201,17 @@ class IntervalLog {
   const perf::PoolStats& record_pool_stats() const { return record_pool_.stats(); }
 
  private:
-  using RecordMap = std::map<IntervalIndex, IntervalRecord>;
+  using RecordMap = std::map<IntervalIndex, RecordRef>;
+
+  // Parks an extracted node, dropping its share of the record first so the
+  // pool never keeps a discarded record alive.
+  void ReleaseNode(RecordMap::node_type node);
 
   // by_node_[p] maps interval index -> record, sorted by index.
   std::vector<RecordMap> by_node_;
-  // DiscardDominatedBy parks extracted nodes here; Insert re-keys them and
-  // copy-assigns the record so the page-list vectors reuse their capacity.
+  // DiscardDominatedBy parks extracted (emptied) nodes here; Insert re-keys
+  // them and stores the new ref, so steady-state inserts allocate no tree
+  // node.
   perf::ObjectPool<RecordMap::node_type> record_pool_;
 };
 

@@ -56,6 +56,51 @@ std::string DescribeSide(const RaceAccessProvenance& side) {
   return out.str();
 }
 
+// The report's provenance chain, one step per line; empty when none was
+// attached. Rendered on demand from the fields AttachProvenance captured.
+std::vector<std::string> ProvenanceChain(const RaceReport& report) {
+  const RaceProvenance& prov = report.provenance;
+  if (prov.empty()) {
+    return {};
+  }
+  const IntervalId& ia = prov.a.interval;
+  const IntervalId& ib = prov.b.interval;
+  std::vector<std::string> chain;
+  chain.push_back("access A: " + DescribeSide(prov.a));
+  chain.push_back("access B: " + DescribeSide(prov.b));
+  {
+    // The sync ops delimiting each access: interval i on node p spans p's
+    // sync operations #i and #(i+1) — those are the only orderings the
+    // detector (and the program) has for the access.
+    std::ostringstream out;
+    out << "ordering: node " << ia.node << "'s sync op #" << ia.index << " -> access A -> sync op #"
+        << ia.index + 1 << "; node " << ib.node << "'s sync op #" << ib.index
+        << " -> access B -> sync op #" << ib.index + 1;
+    chain.push_back(out.str());
+  }
+  if (prov.a.resolved && prov.b.resolved) {
+    // The two-comparison concurrency test (§4), spelled out with the entries
+    // that failed: neither interval had seen the other's creation.
+    std::ostringstream out;
+    out << "concurrency test: vc_" << Sigma(ib) << "[" << ia.node
+        << "]=" << prov.b.vc.At(ia.node) << " < " << ia.index << " and vc_" << Sigma(ia) << "["
+        << ib.node << "]=" << prov.a.vc.At(ib.node) << " < " << ib.index
+        << " — no release/acquire chain connects the accesses";
+    chain.push_back(out.str());
+  } else {
+    chain.push_back(
+        "concurrency test: intervals concurrent per the two-comparison test "
+        "(version vectors unavailable)");
+  }
+  {
+    std::ostringstream out;
+    out << "exposed at the epoch-" << prov.detect_epoch
+        << " barrier check, when both intervals' notices first met at the master";
+    chain.push_back(out.str());
+  }
+  return chain;
+}
+
 }  // namespace
 
 const char* RaceKindName(RaceKind kind) {
@@ -128,42 +173,7 @@ void AttachProvenance(RaceReport& report, const IntervalRecord* a, const Interva
     prov.b.epoch = b->epoch;
     prov.b.resolved = true;
   }
-
-  const IntervalId& ia = report.interval_a;
-  const IntervalId& ib = report.interval_b;
-  prov.chain.clear();
-  prov.chain.push_back("access A: " + DescribeSide(prov.a));
-  prov.chain.push_back("access B: " + DescribeSide(prov.b));
-  {
-    // The sync ops delimiting each access: interval i on node p spans p's
-    // sync operations #i and #(i+1) — those are the only orderings the
-    // detector (and the program) has for the access.
-    std::ostringstream out;
-    out << "ordering: node " << ia.node << "'s sync op #" << ia.index << " -> access A -> sync op #"
-        << ia.index + 1 << "; node " << ib.node << "'s sync op #" << ib.index
-        << " -> access B -> sync op #" << ib.index + 1;
-    prov.chain.push_back(out.str());
-  }
-  if (prov.a.resolved && prov.b.resolved) {
-    // The two-comparison concurrency test (§4), spelled out with the entries
-    // that failed: neither interval had seen the other's creation.
-    std::ostringstream out;
-    out << "concurrency test: vc_" << Sigma(ib) << "[" << ia.node
-        << "]=" << prov.b.vc.At(ia.node) << " < " << ia.index << " and vc_" << Sigma(ia) << "["
-        << ib.node << "]=" << prov.a.vc.At(ib.node) << " < " << ib.index
-        << " — no release/acquire chain connects the accesses";
-    prov.chain.push_back(out.str());
-  } else {
-    prov.chain.push_back(
-        "concurrency test: intervals concurrent per the two-comparison test "
-        "(version vectors unavailable)");
-  }
-  {
-    std::ostringstream out;
-    out << "exposed at the epoch-" << prov.detect_epoch
-        << " barrier check, when both intervals' notices first met at the master";
-    prov.chain.push_back(out.str());
-  }
+  prov.attached = true;
 }
 
 std::string FormatProvenance(const RaceReport& report) {
@@ -171,7 +181,7 @@ std::string FormatProvenance(const RaceReport& report) {
     return "  (no provenance recorded)\n";
   }
   std::string out;
-  for (const std::string& line : report.provenance.chain) {
+  for (const std::string& line : ProvenanceChain(report)) {
     out += "  " + line + "\n";
   }
   return out;
@@ -194,8 +204,9 @@ std::string RaceReportsToJson(const std::vector<RaceReport>& reports) {
         << ",\"resolved\":" << (p.b.resolved ? "true" : "false") << ",\"epoch\":" << p.b.epoch
         << ",\"vc\":\"" << JsonEscape(p.b.resolved ? p.b.vc.ToString() : "") << "\"},\n"
         << "   \"detect_epoch\":" << p.detect_epoch << ",\"chain\":[";
-    for (size_t j = 0; j < p.chain.size(); ++j) {
-      out << (j > 0 ? "," : "") << "\"" << JsonEscape(p.chain[j]) << "\"";
+    const std::vector<std::string> chain = ProvenanceChain(r);
+    for (size_t j = 0; j < chain.size(); ++j) {
+      out << (j > 0 ? "," : "") << "\"" << JsonEscape(chain[j]) << "\"";
     }
     out << "]}" << (i + 1 < reports.size() ? "," : "") << "\n";
   }

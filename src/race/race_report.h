@@ -35,16 +35,16 @@ struct RaceAccessProvenance {
 
 // The causal chain that exposed a race: both intervals' timestamps, the sync
 // ops that (fail to) order the accesses, and the barrier check that caught
-// it. Built by AttachProvenance, rendered by FormatProvenance, serialized by
-// RaceReportsToJson.
+// it. AttachProvenance captures the structured fields (the log they come
+// from is collected right after); FormatProvenance and RaceReportsToJson
+// render the human-readable chain from them on demand.
 struct RaceProvenance {
   RaceAccessProvenance a;
   RaceAccessProvenance b;
   EpochId detect_epoch = -1;
-  // Human-readable chain, one step per line (see FormatProvenance).
-  std::vector<std::string> chain;
+  bool attached = false;  // Set by AttachProvenance.
 
-  bool empty() const { return chain.empty(); }
+  bool empty() const { return !attached; }
 };
 
 struct RaceReport {
@@ -65,13 +65,14 @@ struct RaceReport {
 };
 
 // Fills report.provenance from the interval records the detector compared
-// (either may be null if already garbage-collected). Explains the two-
-// comparison concurrency test (§4) in terms of the actual vector-clock
-// entries and the sync ops delimiting each interval.
+// (either may be null if already garbage-collected): their vector clocks and
+// epochs, which the rendered chain needs after the records are collected.
 void AttachProvenance(RaceReport& report, const IntervalRecord* a, const IntervalRecord* b);
 
-// Multi-line human rendering of a report's provenance chain; a one-line
-// "(no provenance recorded)" fallback when empty.
+// Multi-line human rendering of a report's provenance chain: the two-
+// comparison concurrency test (§4) in terms of the actual vector-clock
+// entries and the sync ops delimiting each interval. A one-line
+// "(no provenance recorded)" fallback when none was attached.
 std::string FormatProvenance(const RaceReport& report);
 
 // JSON array of reports with their provenance, for tool consumption

@@ -1,7 +1,10 @@
 // Tests for the simulated network fabric and byte-accurate accounting.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/net/network.h"
 
@@ -66,7 +69,7 @@ TEST(NetworkTest, ReadNoticeBytesTrackedOnSyncMessages) {
   LockGrantMsg grant;
   grant.lock = 0;
   grant.releaser_vc = VectorClock(2);
-  grant.intervals = {record};
+  grant.intervals = {std::make_shared<const IntervalRecord>(record)};
   net.Send(Make(0, 1, grant));
 
   const NetworkStats stats = net.stats();
@@ -103,6 +106,107 @@ TEST(NetworkTest, TotalsEqualSumOfPerKindAccounting) {
   EXPECT_EQ(stats.messages_by_kind.at("PageRequest"), 2u);
   EXPECT_EQ(stats.messages_by_kind.at("PageReply"), 1u);
   EXPECT_EQ(stats.messages_by_kind.at("LockRequest"), 1u);
+}
+
+TEST(NetworkTest, PerSenderAccountingIncludesUnaddressedSenders) {
+  Network net(3);
+  PageRequestMsg req;
+  net.Send(Make(2, 0, req));
+  net.Send(Make(2, 1, req));
+  net.Send(Make(kNoNode, 1, req));  // A raw fabric user with no node id.
+  const NetworkStats stats = net.stats();
+  const uint64_t req_bytes = PayloadByteSize(Payload(req));
+  EXPECT_EQ(stats.messages_by_sender.size(), 2u);
+  EXPECT_EQ(stats.messages_by_sender.at(2), 2u);
+  EXPECT_EQ(stats.bytes_by_sender.at(2), 2 * req_bytes);
+  EXPECT_EQ(stats.messages_by_sender.at(kNoNode), 1u);
+  EXPECT_EQ(stats.bytes_by_sender.at(kNoNode), req_bytes);
+  EXPECT_EQ(stats.messages_by_kind.size(), 1u);
+  EXPECT_EQ(stats.bytes_by_kind.at("PageRequest"), stats.bytes);
+}
+
+VectorClock Clock(std::vector<IntervalIndex> entries) {
+  VectorClock vc(static_cast<int>(entries.size()));
+  for (size_t i = 0; i < entries.size(); ++i) {
+    vc.Set(static_cast<NodeId>(i), entries[i]);
+  }
+  return vc;
+}
+
+RecordRef PinRecord(NodeId node, IntervalIndex index, EpochId epoch,
+                    std::vector<IntervalIndex> vc, std::vector<PageId> writes,
+                    std::vector<PageId> reads) {
+  IntervalRecord r;
+  r.id = IntervalId{node, index};
+  r.vc = Clock(std::move(vc));
+  r.epoch = epoch;
+  r.write_pages = std::move(writes);
+  r.read_pages = std::move(reads);
+  return std::make_shared<const IntervalRecord>(std::move(r));
+}
+
+// The interval-carrying messages hold shared record handles, but their
+// modeled sizes must be those of the records themselves. The literals are
+// the sizes the by-value message layout gave for the same records: a change
+// to how records travel must not move a single wire or read-notice byte.
+TEST(NetworkTest, IntervalMessageSizesArePinned) {
+  const std::vector<RecordRef> records = {
+      PinRecord(0, 1, 0, {1, 0, 0, 0, 0, 0, 0, 0}, {1, 2}, {3, 4, 5}),
+      PinRecord(1, 2, 1, {1, 2, 2, 2, 2, 2, 2, 0}, {7}, {}),
+      PinRecord(3, 1, 1, {4, 4, 4, 1, 4, 4, 4, 4}, {}, {9}),
+  };
+  LockGrantMsg grant;
+  grant.lock = 3;
+  grant.intervals = records;
+  grant.releaser_vc = Clock({1, 2, 0, 1, 0, 0, 0, 0});
+  LockRequestMsg queued;
+  queued.lock = 3;
+  queued.requester = 2;
+  queued.requester_vc = Clock({0, 0, 1, 0, 0, 0, 0, 0});
+  grant.handoff = {queued};
+  BarrierArriveMsg arrive;
+  arrive.epoch = 1;
+  arrive.node = 1;
+  arrive.intervals = records;
+  arrive.vc = Clock({1, 2, 2, 2, 2, 2, 2, 0});
+  BarrierReleaseMsg release;
+  release.epoch = 1;
+  release.intervals = records;
+  release.merged_vc = Clock({4, 4, 4, 4, 4, 4, 4, 4});
+  BarrierTreeArriveMsg tree_arrive;
+  tree_arrive.epoch = 1;
+  tree_arrive.node = 1;
+  tree_arrive.intervals = records;
+  tree_arrive.vc = Clock({4, 4, 4, 4, 4, 4, 4, 4});
+  tree_arrive.min_vc = Clock({1, 0, 0, 1, 0, 0, 0, 0});
+  tree_arrive.fragments = {TreeFragmentPair{IntervalId{0, 1}, IntervalId{1, 2}, {2, 7}}};
+  tree_arrive.interest = {1, 2, 7, 9};
+  BarrierTreeReleaseMsg tree_release;
+  tree_release.epoch = 1;
+  tree_release.intervals = records;
+  tree_release.merged_vc = Clock({4, 4, 4, 4, 4, 4, 4, 4});
+
+  const size_t kReadNoticeBytes = 4 * sizeof(PageId);  // Pages 3, 4, 5 and 9.
+  EXPECT_EQ(PayloadByteSize(Payload(grant)), 301u);
+  EXPECT_EQ(PayloadReadNoticeBytes(Payload(grant)), kReadNoticeBytes);
+  EXPECT_EQ(PayloadByteSize(Payload(arrive)), 268u);
+  EXPECT_EQ(PayloadReadNoticeBytes(Payload(arrive)), kReadNoticeBytes);
+  EXPECT_EQ(PayloadByteSize(Payload(release)), 268u);
+  EXPECT_EQ(PayloadReadNoticeBytes(Payload(release)), kReadNoticeBytes);
+  EXPECT_EQ(PayloadByteSize(Payload(tree_arrive)), 316u);
+  EXPECT_EQ(PayloadReadNoticeBytes(Payload(tree_arrive)), kReadNoticeBytes);
+  EXPECT_EQ(PayloadByteSize(Payload(tree_release)), 228u);
+  EXPECT_EQ(PayloadReadNoticeBytes(Payload(tree_release)), kReadNoticeBytes);
+
+  // The network stamps the same sizes on the wire.
+  Network net(4);
+  net.Send(Make(0, 1, grant));
+  net.Send(Make(1, 0, arrive));
+  const NetworkStats stats = net.stats();
+  EXPECT_EQ(stats.bytes, 301u + 268u);
+  EXPECT_EQ(stats.read_notice_bytes, 2 * kReadNoticeBytes);
+  EXPECT_EQ(stats.bytes_by_kind.at("LockGrant"), 301u);
+  EXPECT_EQ(stats.bytes_by_sender.at(1), 268u);
 }
 
 TEST(NetworkTest, ResetStatsZeroesEverything) {

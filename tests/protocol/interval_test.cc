@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <map>
+#include <memory>
 #include <set>
 #include <utility>
 
@@ -24,6 +25,12 @@ IntervalRecord MakeRecord(NodeId node, IntervalIndex index, std::vector<PageId> 
   return r;
 }
 
+RecordRef MakeRef(NodeId node, IntervalIndex index, std::vector<PageId> writes = {},
+                  std::vector<PageId> reads = {}) {
+  return std::make_shared<const IntervalRecord>(
+      MakeRecord(node, index, std::move(writes), std::move(reads)));
+}
+
 TEST(IntervalRecordTest, PageMembershipAndSizes) {
   IntervalRecord r = MakeRecord(1, 3, {5, 9}, {2});
   EXPECT_TRUE(r.WritesPage(5));
@@ -36,32 +43,98 @@ TEST(IntervalRecordTest, PageMembershipAndSizes) {
 
 TEST(IntervalLogTest, UnseenByReturnsExactlyTheUnseen) {
   IntervalLog log(4);
-  log.Insert(MakeRecord(0, 0));
-  log.Insert(MakeRecord(0, 1));
-  log.Insert(MakeRecord(1, 0));
-  log.Insert(MakeRecord(2, 0));
+  log.Insert(MakeRef(0, 0));
+  log.Insert(MakeRef(0, 1));
+  log.Insert(MakeRef(1, 0));
+  log.Insert(MakeRef(2, 0));
 
   VectorClock vc(4);
   vc.Set(0, 0);  // Seen node 0 through interval 0; nothing else.
   const auto unseen = log.UnseenBy(vc);
   ASSERT_EQ(unseen.size(), 3u);
-  EXPECT_EQ(unseen[0].id, (IntervalId{0, 1}));
-  EXPECT_EQ(unseen[1].id, (IntervalId{1, 0}));
-  EXPECT_EQ(unseen[2].id, (IntervalId{2, 0}));
+  EXPECT_EQ(unseen[0]->id, (IntervalId{0, 1}));
+  EXPECT_EQ(unseen[1]->id, (IntervalId{1, 0}));
+  EXPECT_EQ(unseen[2]->id, (IntervalId{2, 0}));
+}
+
+TEST(IntervalLogTest, QueriesReturnTheInsertedObjects) {
+  IntervalLog log(3);
+  const RecordRef a = MakeRef(0, 0, {1}, {2});
+  const RecordRef b = MakeRef(1, 4, {3});
+  const RecordRef c = MakeRef(2, 1);
+  log.Insert(c);
+  log.Insert(a);
+  log.Insert(b);
+
+  const std::vector<RecordRef> all = log.AllRefs();
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all[0].get(), a.get());  // Per node, ascending index.
+  EXPECT_EQ(all[1].get(), b.get());
+  EXPECT_EQ(all[2].get(), c.get());
+
+  VectorClock vc(3);
+  vc.Set(0, 0);
+  const std::vector<RecordRef> unseen = log.UnseenBy(vc);
+  ASSERT_EQ(unseen.size(), 2u);
+  EXPECT_EQ(unseen[0].get(), b.get());
+  EXPECT_EQ(unseen[1].get(), c.get());
+  EXPECT_EQ(log.Find(IntervalId{1, 4}), b.get());
+
+  // The by-value view is a deep copy of the same records.
+  const std::vector<IntervalRecord> copies = log.All();
+  ASSERT_EQ(copies.size(), 3u);
+  EXPECT_EQ(copies[0].id, a->id);
+  EXPECT_EQ(copies[0].read_pages, a->read_pages);
+  EXPECT_NE(&copies[0], a.get());
+}
+
+TEST(IntervalLogTest, SecondLogSharesTheRecordAndOutlivesTheFirstsGc) {
+  IntervalLog sender(2);
+  IntervalLog receiver(2);
+  sender.Insert(MakeRef(0, 0, {5}, {6}));
+  sender.Insert(MakeRef(1, 3, {7}));
+
+  // What a message does: carry the sender's refs into the receiver's log.
+  for (const RecordRef& record : sender.AllRefs()) {
+    receiver.Insert(record);
+  }
+  const IntervalRecord* shared = sender.Find(IntervalId{0, 0});
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(receiver.Find(IntervalId{0, 0}), shared);  // Shared, not copied.
+  EXPECT_EQ(receiver.Find(IntervalId{1, 3}), sender.Find(IntervalId{1, 3}));
+
+  // GC on the sender leaves the receiver's share intact.
+  VectorClock done(2);
+  done.Set(0, 0);
+  done.Set(1, 3);
+  sender.DiscardDominatedBy(done);
+  EXPECT_EQ(sender.size(), 0u);
+  const IntervalRecord* kept = receiver.Find(IntervalId{0, 0});
+  ASSERT_NE(kept, nullptr);
+  EXPECT_EQ(kept, shared);
+  EXPECT_EQ(kept->write_pages, (std::vector<PageId>{5}));
+  EXPECT_EQ(kept->read_pages, (std::vector<PageId>{6}));
+  EXPECT_EQ(receiver.AllRefs()[0].use_count(), 2);  // The log's + this copy.
+
+  // Pooled nodes re-used by the sender must not disturb the receiver.
+  sender.Insert(MakeRef(0, 1, {9}));
+  EXPECT_EQ(receiver.Find(IntervalId{0, 0})->write_pages, (std::vector<PageId>{5}));
 }
 
 TEST(IntervalLogTest, InsertIsIdempotent) {
   IntervalLog log(2);
-  log.Insert(MakeRecord(0, 0));
-  log.Insert(MakeRecord(0, 0));
+  const RecordRef first = MakeRef(0, 0, {1});
+  log.Insert(first);
+  log.Insert(MakeRef(0, 0, {2}));
   EXPECT_EQ(log.size(), 1u);
+  EXPECT_EQ(log.Find(IntervalId{0, 0}), first.get());  // The first one stays.
 }
 
 TEST(IntervalLogTest, GarbageCollectionDropsDominated) {
   IntervalLog log(2);
-  log.Insert(MakeRecord(0, 0));
-  log.Insert(MakeRecord(0, 1));
-  log.Insert(MakeRecord(1, 2));
+  log.Insert(MakeRef(0, 0));
+  log.Insert(MakeRef(0, 1));
+  log.Insert(MakeRef(1, 2));
   VectorClock merged(2);
   merged.Set(0, 0);
   merged.Set(1, 2);

@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -324,11 +326,16 @@ TEST(ArenaTest, IntervalLogSteadyStateInsertIsAllPoolHits) {
     record.vc.Set(node, index);
     record.write_pages = {1, 2, 3};
     record.read_pages = {4, 5};
-    return record;
+    return std::make_shared<const IntervalRecord>(std::move(record));
   };
 
+  std::weak_ptr<const IntervalRecord> first;
   for (NodeId node = 0; node < kNodes; ++node) {
-    log.Insert(make_record(node, 0));
+    RecordRef record = make_record(node, 0);
+    if (node == 0) {
+      first = record;
+    }
+    log.Insert(std::move(record));
   }
   const uint64_t warmup_misses = log.record_pool_stats().misses;
   VectorClock epoch_done(kNodes);
@@ -337,6 +344,8 @@ TEST(ArenaTest, IntervalLogSteadyStateInsertIsAllPoolHits) {
   }
   log.DiscardDominatedBy(epoch_done);
   EXPECT_EQ(log.size(), 0u);
+  // A parked map node holds no share of its old record.
+  EXPECT_TRUE(first.expired());
 
   for (IntervalIndex index = 1; index <= 3; ++index) {
     for (NodeId node = 0; node < kNodes; ++node) {
