@@ -1,12 +1,11 @@
 // Ablation: the barrier-time detection pipeline (§4 step 5, §6.2).
 //
-// Three configurations of the same check, all producing the same races:
+// Two configurations of the same check, both producing the same races:
 //   serial       — the paper's prototype: master builds the check list alone,
-//                  fetches full-page bitmaps, compares after the round ends.
-//   sharded      — check-list construction sharded across a worker pool and
-//                  master-local compares overlapped with the bitmap round.
+//                  fetches raw full-page bitmaps, compares after the round.
 //   distributed  — constituent nodes compare the pairs they own and ship
-//                  back reports plus compressed bitmaps (BitmapCodec).
+//                  back reports; bitmaps travel compressed (BitmapCodec) and
+//                  interned.
 //
 // The comparison metric is the master's simulated time inside the barrier
 // check (PipelineStats::detect_ns) and the bitmap-round bytes — NOT total
@@ -28,26 +27,21 @@ namespace {
 struct ModeSpec {
   const char* name;
   DetectionPipeline pipeline;
-  bool compress;
 };
 
 constexpr ModeSpec kModes[] = {
-    {"serial", DetectionPipeline::kSerial, false},
-    {"sharded", DetectionPipeline::kSharded, false},
-    {"distributed", DetectionPipeline::kDistributed, true},
+    {"serial", DetectionPipeline::kSerial},
+    {"distributed", DetectionPipeline::kDistributed},
 };
 
 struct Cell {
   std::string app;
   std::string mode;
   int procs = 0;
-  bool compress = false;
   uint64_t detect_epochs = 0;
   double detect_ns_per_epoch = 0;
   double bytes_raw_per_epoch = 0;
   double bytes_wire_per_epoch = 0;
-  double overlap_saved_ns_per_epoch = 0;
-  uint64_t shards = 0;
   uint64_t remote_pairs = 0;
   uint64_t remote_reports = 0;
   size_t races = 0;
@@ -88,16 +82,14 @@ bool WriteDetectorJson(const std::string& path, const std::vector<Cell>& cells) 
     char buffer[640];
     std::snprintf(
         buffer, sizeof(buffer),
-        "  {\"app\": \"%s\", \"mode\": \"%s\", \"procs\": %d, \"compress\": %s, "
+        "  {\"app\": \"%s\", \"mode\": \"%s\", \"procs\": %d, "
         "\"detect_epochs\": %llu, \"detect_ns_per_epoch\": %.1f, "
         "\"bitmap_bytes_raw_per_epoch\": %.1f, \"bitmap_bytes_wire_per_epoch\": %.1f, "
-        "\"overlap_saved_ns_per_epoch\": %.1f, \"shards\": %llu, "
         "\"remote_pairs_compared\": %llu, \"remote_reports\": %llu, \"races\": %zu, "
         "\"reports_exact_match\": %s, \"reports_structural_match\": %s}%s\n",
-        c.app.c_str(), c.mode.c_str(), c.procs, c.compress ? "true" : "false",
+        c.app.c_str(), c.mode.c_str(), c.procs,
         static_cast<unsigned long long>(c.detect_epochs), c.detect_ns_per_epoch,
-        c.bytes_raw_per_epoch, c.bytes_wire_per_epoch, c.overlap_saved_ns_per_epoch,
-        static_cast<unsigned long long>(c.shards),
+        c.bytes_raw_per_epoch, c.bytes_wire_per_epoch,
         static_cast<unsigned long long>(c.remote_pairs),
         static_cast<unsigned long long>(c.remote_reports), c.races,
         c.exact_match ? "true" : "false", c.structural_match ? "true" : "false",
@@ -139,10 +131,10 @@ int main(int argc, char** argv) {
     }
   }
   const int procs = 8;
-  std::printf("=== Ablation: detection pipeline (serial vs sharded vs distributed) ===\n");
+  std::printf("=== Ablation: detection pipeline (serial vs distributed) ===\n");
 
   TablePrinter table({"App", "Mode", "Detect us/epoch", "Raw B/epoch", "Wire B/epoch",
-                      "Overlap us/epoch", "Races", "Reports"});
+                      "Remote pairs", "Races", "Reports"});
   std::vector<Cell> cells;
   bool reports_ok = true;
   const std::vector<bench::NamedApp> apps = smoke ? SmokeApps() : bench::PaperApps();
@@ -152,25 +144,18 @@ int main(int argc, char** argv) {
     for (const ModeSpec& mode : kModes) {
       DsmOptions options = bench::PaperOptions(procs);
       options.detection_pipeline = mode.pipeline;
-      options.compress_bitmaps = mode.compress;
-      // Pin the shard count so the charged critical path does not depend on
-      // the host's core count (the merge is order-deterministic regardless).
-      options.detect_shards = smoke ? 2 : 4;
       WorkloadResult result = RunWorkloadDetectOnly(app.factory, options);
 
       Cell cell;
       cell.app = result.app_name;
       cell.mode = mode.name;
       cell.procs = procs;
-      cell.compress = mode.compress;
       const PipelineStats& p = result.detect.pipeline;
       cell.detect_epochs = p.detect_epochs;
       const double epochs = p.detect_epochs > 0 ? static_cast<double>(p.detect_epochs) : 1.0;
       cell.detect_ns_per_epoch = p.detect_ns / epochs;
       cell.bytes_raw_per_epoch = static_cast<double>(p.bitmap_bytes_raw) / epochs;
       cell.bytes_wire_per_epoch = static_cast<double>(p.bitmap_bytes_wire) / epochs;
-      cell.overlap_saved_ns_per_epoch = p.overlap_saved_ns / epochs;
-      cell.shards = p.shards_used;
       cell.remote_pairs = p.remote_pairs_compared;
       cell.remote_reports = p.remote_reports;
       cell.races = result.detect.races.size();
@@ -197,7 +182,7 @@ int main(int argc, char** argv) {
                     cell.mode, TablePrinter::Fixed(cell.detect_ns_per_epoch / 1e3, 1),
                     TablePrinter::Fixed(cell.bytes_raw_per_epoch, 0),
                     TablePrinter::Fixed(cell.bytes_wire_per_epoch, 0),
-                    TablePrinter::Fixed(cell.overlap_saved_ns_per_epoch / 1e3, 1),
+                    std::to_string(cell.remote_pairs),
                     std::to_string(cell.races),
                     cell.exact_match ? "exact" : (cell.structural_match ? "struct" : "DIFF")});
       cells.push_back(cell);

@@ -1,11 +1,10 @@
-// Cluster-scaling bench for the hierarchical barrier + epoch-batched
-// detection path (docs/ARCHITECTURE.md "Combine-tree barrier"): sweeps the
-// node count over {8, 64, 256, 1024} and, at every size, runs the same
-// deterministic neighbor-halo workload three ways —
+// Cluster-scaling bench for the hierarchical barrier (docs/ARCHITECTURE.md
+// "Combine-tree barrier"): sweeps the node count over {8, 64, 256, 1024}
+// and, at every size, runs the same deterministic neighbor-halo workload
+// two ways —
 //
-//   flat   the legacy single-master barrier and per-epoch detection,
-//   tree   --barrier-tree with fanout 8 (in-tree check-list aggregation),
-//   tree+  tree plus --detect-batch=2 and --intern-bitmaps.
+//   flat   the legacy single-master barrier,
+//   tree   --barrier-tree with fanout 8 (in-tree check-list aggregation).
 //
 // The workload gives every node one page: each epoch it writes the head of
 // its own page and word kRaceWord of its right neighbor's page (a W/W race
@@ -15,7 +14,7 @@
 // W/W reports.
 //
 // Asserts, and exits nonzero otherwise:
-//   - every mode reports the identical race list at every size,
+//   - both modes report the identical race list at every size,
 //   - detect time and wire bytes per epoch grow sub-quadratically in the
 //     node count along the tree curve (log-log slope < 2 between
 //     consecutive sizes).
@@ -57,7 +56,6 @@ struct ModeResult {
   double sim_ms = 0;
   double wall_s = 0;
   uint64_t races = 0;
-  uint64_t intern_hits = 0;
   // Compact identity of the full report list, order-sensitive.
   std::vector<std::string> signature;
 };
@@ -70,10 +68,6 @@ ModeResult RunOne(int nodes, const std::string& mode) {
   if (mode != "flat") {
     options.barrier_tree = true;
     options.barrier_fanout = kTreeFanout;
-  }
-  if (mode == "tree+batch") {
-    options.detect_batch = 2;
-    options.intern_bitmaps = true;
   }
 
   DsmSystem system(options);
@@ -109,7 +103,6 @@ ModeResult RunOne(int nodes, const std::string& mode) {
       static_cast<double>(result.net.bytes) / static_cast<double>(epochs);
   out.sim_ms = result.sim_time_ns / 1e6;
   out.races = result.races.size();
-  out.intern_hits = result.intern.hits;
   out.signature.reserve(result.races.size());
   for (const RaceReport& race : result.races) {
     char sig[128];
@@ -126,7 +119,6 @@ struct SizeRow {
   int nodes = 0;
   ModeResult flat;
   ModeResult tree;
-  ModeResult batch;
   bool reports_match = false;
 };
 
@@ -138,20 +130,15 @@ bool WriteScalingJson(const std::string& path, const std::vector<SizeRow>& rows)
   out << "[\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const SizeRow& r = rows[i];
-    char buffer[640];
+    char buffer[512];
     std::snprintf(buffer, sizeof(buffer),
                   "  {\"nodes\": %d, \"races\": %llu, \"reports_match\": %s,\n"
                   "   \"flat_detect_ns_per_epoch\": %.1f, \"tree_detect_ns_per_epoch\": %.1f,\n"
-                  "   \"batch_detect_ns_per_epoch\": %.1f,\n"
-                  "   \"flat_wire_bytes_per_epoch\": %.1f, \"tree_wire_bytes_per_epoch\": %.1f,\n"
-                  "   \"batch_wire_bytes_per_epoch\": %.1f, \"intern_hits\": %llu}%s\n",
+                  "   \"flat_wire_bytes_per_epoch\": %.1f, \"tree_wire_bytes_per_epoch\": %.1f}%s\n",
                   r.nodes, static_cast<unsigned long long>(r.flat.races),
                   r.reports_match ? "true" : "false", r.flat.detect_ns_per_epoch,
-                  r.tree.detect_ns_per_epoch, r.batch.detect_ns_per_epoch,
-                  r.flat.wire_bytes_per_epoch, r.tree.wire_bytes_per_epoch,
-                  r.batch.wire_bytes_per_epoch,
-                  static_cast<unsigned long long>(r.batch.intern_hits),
-                  i + 1 < rows.size() ? "," : "");
+                  r.tree.detect_ns_per_epoch, r.flat.wire_bytes_per_epoch,
+                  r.tree.wire_bytes_per_epoch, i + 1 < rows.size() ? "," : "");
     out << buffer;
   }
   out << "]\n";
@@ -192,17 +179,13 @@ int main(int argc, char** argv) {
     row.nodes = nodes;
     row.flat = RunOne(nodes, "flat");
     row.tree = RunOne(nodes, "tree");
-    row.batch = RunOne(nodes, "tree+batch");
-    row.reports_match =
-        row.flat.signature == row.tree.signature && row.flat.signature == row.batch.signature;
+    row.reports_match = row.flat.signature == row.tree.signature;
     const uint64_t expected_races =
         static_cast<uint64_t>(nodes) * (kExplicitBarriers + 1);
     if (!row.reports_match) {
       std::fprintf(stderr,
-                   "error: race reports diverge at %d nodes "
-                   "(flat %zu, tree %zu, tree+batch %zu reports)\n",
-                   nodes, row.flat.signature.size(), row.tree.signature.size(),
-                   row.batch.signature.size());
+                   "error: race reports diverge at %d nodes (flat %zu, tree %zu reports)\n",
+                   nodes, row.flat.signature.size(), row.tree.signature.size());
       return 1;
     }
     if (row.flat.races != expected_races) {
@@ -212,19 +195,19 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("  %4d nodes: %llu races, reports identical across modes "
-                "(flat %.2fs, tree %.2fs, tree+batch %.2fs wall)\n",
+                "(flat %.2fs, tree %.2fs wall)\n",
                 nodes, static_cast<unsigned long long>(row.flat.races), row.flat.wall_s,
-                row.tree.wall_s, row.batch.wall_s);
+                row.tree.wall_s);
     rows.push_back(std::move(row));
   }
 
-  TablePrinter table({"Nodes", "Mode", "Detect ms/ep", "Wire MB/ep", "Sim ms", "Intern hits"});
+  TablePrinter table({"Nodes", "Mode", "Detect ms/ep", "Wire MB/ep", "Sim ms"});
   for (const SizeRow& row : rows) {
-    for (const ModeResult* m : {&row.flat, &row.tree, &row.batch}) {
+    for (const ModeResult* m : {&row.flat, &row.tree}) {
       table.AddRow({std::to_string(row.nodes), m->mode,
                     TablePrinter::Fixed(m->detect_ns_per_epoch / 1e6, 3),
                     TablePrinter::Fixed(m->wire_bytes_per_epoch / 1e6, 3),
-                    TablePrinter::Fixed(m->sim_ms, 1), std::to_string(m->intern_hits)});
+                    TablePrinter::Fixed(m->sim_ms, 1)});
     }
   }
   std::printf("\n");

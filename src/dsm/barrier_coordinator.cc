@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <set>
-#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -111,19 +110,15 @@ void BarrierCoordinator::InitObservability(obs::MetricsRegistry* metrics) {
   mh_.checklist_entries = metrics->counter("race.checklist_entries");
   mh_.bitmap_pairs_compared = metrics->counter("race.bitmap_pairs_compared");
   mh_.races_reported = metrics->counter("race.races_reported");
-  mh_.shard_count = metrics->counter("race.shard.count");
   mh_.bitmap_bytes_raw = metrics->counter("net.bitmap.bytes_raw");
   mh_.bitmap_bytes_wire = metrics->counter("net.bitmap.bytes_wire");
   mh_.bitmap_bytes_saved = metrics->counter("net.bitmap.bytes_saved");
-  mh_.overlap_saved_ns = metrics->counter("race.overlap.saved_ns");
   mh_.remote_pairs = metrics->counter("race.remote.pairs_compared");
   mh_.remote_reports = metrics->counter("race.remote.reports");
   mh_.tree_up_bytes = metrics->counter("net.barrier.tree.up_bytes");
   mh_.tree_down_bytes = metrics->counter("net.barrier.tree.down_bytes");
   mh_.tree_fragments = metrics->counter("net.barrier.tree.fragments");
   mh_.tree_height = metrics->counter("net.barrier.tree.height");
-  mh_.batch_rounds = metrics->counter("race.batch.rounds");
-  mh_.batch_epochs = metrics->counter("race.batch.batched_epochs");
   mh_.intern_hits = metrics->counter("race.intern.hits");
   mh_.intern_misses = metrics->counter("race.intern.misses");
   mh_.intern_invalidations = metrics->counter("race.intern.invalidations");
@@ -217,14 +212,7 @@ void BarrierCoordinator::MasterRunBarrier(std::unique_lock<std::mutex>& lk, Epoc
   }
 
   if (node_.opts_.race_detection && node_.opts_.online_detection) {
-    if (node_.opts_.detect_batch > 1) {
-      // Batching retains prior epochs' records in the master log (GC below
-      // is skipped), so the check-list build must see only this epoch's.
-      RunRaceDetection(lk, epoch, CurrentEpochRecords(epoch));
-      MaybeFlushDetectBatch(lk, epoch);
-    } else {
-      RunRaceDetection(lk, epoch, node_.log_.All());
-    }
+    RunRaceDetection(lk, epoch, node_.log_.All());
   }
 
   for (NodeId node = 1; node < node_.opts_.num_nodes; ++node) {
@@ -235,11 +223,7 @@ void BarrierCoordinator::MasterRunBarrier(std::unique_lock<std::mutex>& lk, Epoc
     release.release_time_ns = static_cast<uint64_t>(node_.timing_.now_ns());
     node_.Send(node, std::move(release));
   }
-  if (pending_batch_.empty()) {
-    node_.GarbageCollectLocked();
-  }
-  // else: queued epochs still need the log (report provenance) and the
-  // workers' retained bitmaps; everything is collected at the flush barrier.
+  node_.GarbageCollectLocked();
   if constexpr (obs::kObsCompiledIn) {
     if (node_.metrics_ != nullptr) {
       node_.PublishOverheadLocked();
@@ -249,14 +233,6 @@ void BarrierCoordinator::MasterRunBarrier(std::unique_lock<std::mutex>& lk, Epoc
       }
     }
   }
-}
-
-int BarrierCoordinator::DetectShardCount() const {
-  if (node_.opts_.detect_shards > 0) {
-    return node_.opts_.detect_shards;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::clamp(hw == 0 ? 4 : static_cast<int>(hw), 1, 8);
 }
 
 void BarrierCoordinator::PublishReports(std::vector<RaceReport> reports) {
@@ -285,42 +261,27 @@ void BarrierCoordinator::RunRaceDetection(std::unique_lock<std::mutex>& lk, Epoc
   // Master sim time spent in the check, whatever exit path is taken — the
   // quantity the pipeline ablation compares across modes.
   DetectTimer detect_timer{timing, timing.now_ns(), &pipeline_stats_.detect_ns};
-  const bool overlapped = opts.detection_pipeline != DetectionPipeline::kSerial;
-  const int shards_wanted = overlapped ? DetectShardCount() : 1;
-  std::vector<DetectorStats> per_shard;
   const std::vector<CheckPair>* pairs = nullptr;
   {
-    obs::Span overlap_span(node_.tracer_, node_.id_,
-                           overlapped ? "detector.shard" : "detector.overlap", "race", timing,
-                           epoch);
-    pairs = &detector.BuildCheckListSharded(epoch_intervals, shards_wanted, &per_shard);
-    // The parallel critical path: the most loaded shard, plus a fork/join
-    // cost per worker actually spawned. One shard degenerates to the serial
-    // charge (sum of every comparison, no fork cost).
-    double worst_shard_ns = 0;
-    for (const DetectorStats& s : per_shard) {
-      worst_shard_ns =
-          std::max(worst_shard_ns,
-                   opts.costs.interval_cmp_ns * static_cast<double>(s.interval_comparisons) +
-                       opts.costs.page_overlap_ns * static_cast<double>(s.page_overlap_probes));
-    }
-    if (per_shard.size() > 1) {
-      worst_shard_ns += opts.costs.shard_fork_ns * static_cast<double>(per_shard.size());
-    }
-    timing.Charge(Bucket::kIntervals, worst_shard_ns);
+    obs::Span overlap_span(node_.tracer_, node_.id_, "detector.overlap", "race", timing, epoch);
+    pairs = &detector.BuildCheckList(epoch_intervals);
+    const DetectorStats& after = detector.stats();
+    timing.Charge(Bucket::kIntervals,
+                  opts.costs.interval_cmp_ns *
+                          static_cast<double>(after.interval_comparisons -
+                                              before.interval_comparisons) +
+                      opts.costs.page_overlap_ns * static_cast<double>(after.page_overlap_probes -
+                                                                       before.page_overlap_probes));
     overlap_span.SetArg("pairs", pairs->size());
   }
   if constexpr (obs::kObsCompiledIn) {
     if (have_metrics_) {
-      const DetectorStats& after = detector.stats();
-      mh_.check_pairs->Add(after.overlapping_pairs - before.overlapping_pairs);
-      mh_.shard_count->Add(per_shard.size());
+      mh_.check_pairs->Add(pairs->size());
     }
   }
   if (pairs->empty()) {
     return;
   }
-  pipeline_stats_.shards_used = std::max<uint64_t>(pipeline_stats_.shards_used, per_shard.size());
   DispatchDetection(lk, epoch, *pairs);
 }
 
@@ -338,125 +299,60 @@ void BarrierCoordinator::DispatchDetection(std::unique_lock<std::mutex>& lk, Epo
                                            const std::vector<CheckPair>& pairs) {
   ++pipeline_stats_.detect_epochs;
   // The check list fixes the distinct (interval, page) bitmaps step 5 needs;
-  // every pipeline mode accounts them once here (§4 step 3).
-  std::vector<std::pair<IntervalId, PageId>> needed = RaceDetector::BitmapsNeeded(pairs);
+  // both pipelines account them once here (§4 step 3).
+  const std::vector<std::pair<IntervalId, PageId>> needed = RaceDetector::BitmapsNeeded(pairs);
   if constexpr (obs::kObsCompiledIn) {
     if (have_metrics_) {
       mh_.checklist_entries->Add(needed.size());
     }
   }
-  const DsmOptions& opts = node_.opts_;
-  if (opts.detect_batch > 1) {
-    // Park this epoch's work; the compare rounds run when the batch window
-    // closes. The pairs are copied out of the detector's pooled list, which
-    // the next epoch's build will overwrite.
-    PendingEpoch pending;
-    pending.epoch = epoch;
-    pending.pairs = pairs;
-    pending.needed = std::move(needed);
-    pending_batch_.push_back(std::move(pending));
-    return;
-  }
-  if (opts.detection_pipeline == DetectionPipeline::kDistributed) {
-    PublishReports(RunDistributedCompare(lk, epoch, epoch, pairs, needed.size()));
-    return;
-  }
-  const std::vector<EpochCheckView> work{{epoch, &pairs, &needed}};
-  CompareEpochsSerial(lk, epoch, work);
-}
-
-void BarrierCoordinator::MaybeFlushDetectBatch(std::unique_lock<std::mutex>& lk, EpochId epoch) {
-  const DsmOptions& opts = node_.opts_;
-  if (opts.detect_batch <= 1 || pending_batch_.empty()) {
-    return;
-  }
-  const bool boundary = (epoch + 1) % opts.detect_batch == 0;
-  if (!boundary && !node_.final_barrier_) {
-    return;
-  }
-  NodeTiming& timing = node_.timing_;
-  DetectTimer detect_timer{timing, timing.now_ns(), &pipeline_stats_.detect_ns};
-  ++pipeline_stats_.batch_rounds;
-  pipeline_stats_.batched_epochs += pending_batch_.size();
-  if constexpr (obs::kObsCompiledIn) {
-    if (have_metrics_) {
-      mh_.batch_rounds->Add(1);
-      mh_.batch_epochs->Add(pending_batch_.size());
-    }
-  }
-  if (opts.detection_pipeline == DetectionPipeline::kDistributed) {
-    // One distributed round per queued epoch, oldest first. The messages
-    // carry the flush barrier's epoch (constituents reject anything older
-    // than their current barrier); only the reports are stamped with the
-    // epoch the pairs came from.
-    for (const PendingEpoch& pending : pending_batch_) {
-      PublishReports(
-          RunDistributedCompare(lk, epoch, pending.epoch, pending.pairs, pending.needed.size()));
-    }
+  if (node_.opts_.detection_pipeline == DetectionPipeline::kDistributed) {
+    PublishReports(RunDistributedCompare(lk, epoch, pairs, needed.size()));
   } else {
-    std::vector<EpochCheckView> work;
-    work.reserve(pending_batch_.size());
-    for (const PendingEpoch& pending : pending_batch_) {
-      work.push_back(EpochCheckView{pending.epoch, &pending.pairs, &pending.needed});
-    }
-    CompareEpochsSerial(lk, epoch, work);
+    CompareSerial(lk, epoch, pairs, needed);
   }
-  pending_batch_.clear();
 }
 
-void BarrierCoordinator::CompareEpochsSerial(std::unique_lock<std::mutex>& lk, EpochId msg_epoch,
-                                             const std::vector<EpochCheckView>& work) {
+void BarrierCoordinator::CompareSerial(std::unique_lock<std::mutex>& lk, EpochId epoch,
+                                       const std::vector<CheckPair>& pairs,
+                                       const std::vector<std::pair<IntervalId, PageId>>& needed) {
   RaceDetector& detector = node_.system_->detector();
   const DsmOptions& opts = node_.opts_;
   NodeTiming& timing = node_.timing_;
-  const bool overlapped = opts.detection_pipeline != DetectionPipeline::kSerial;
 
-  obs::Span bitmaps_span(node_.tracer_, node_.id_, "detector.bitmaps", "race", timing, msg_epoch);
+  obs::Span bitmaps_span(node_.tracer_, node_.id_, "detector.bitmaps", "race", timing, epoch);
 
   // Bitmap-retrieval round (§4 step 4): ask each constituent node for the
   // word bitmaps of its listed intervals; the master's own resolve locally.
-  // A batched flush runs ONE combined round over every queued epoch's needs
-  // (interval indices are globally monotonic, so entries never collide).
   collected_bitmaps_.clear();
   std::map<NodeId, std::vector<CheckEntry>> by_node;
-  for (const EpochCheckView& w : work) {
-    for (const auto& [interval, page] : *w.needed) {
-      if (interval.node == node_.id_) {
-        const PageAccessBitmaps* local = node_.bitmaps_.Find(interval.index, page);
-        if (local != nullptr) {
-          collected_bitmaps_.emplace(std::make_pair(interval, page), *local);
-        }
-      } else {
-        by_node[interval.node].push_back(CheckEntry{interval, page});
+  for (const auto& [interval, page] : needed) {
+    if (interval.node == node_.id_) {
+      const PageAccessBitmaps* local = node_.bitmaps_.Find(interval.index, page);
+      if (local != nullptr) {
+        collected_bitmaps_.emplace(std::make_pair(interval, page), *local);
       }
+    } else {
+      by_node[interval.node].push_back(CheckEntry{interval, page});
     }
   }
   CVM_CHECK_EQ(bitmap_replies_pending_, 0);
   bitmap_replies_pending_ = static_cast<int>(by_node.size());
   bitmap_round_bytes_ = 0;
-  bitmap_round_raw_bytes_ = 0;
   for (auto& [node, entries] : by_node) {
     BitmapRequestMsg request;
-    request.epoch = msg_epoch;
+    request.epoch = epoch;
     request.entries = std::move(entries);
     node_.Send(node, std::move(request));
   }
-  double round_ns = 0;
   if (bitmap_replies_pending_ > 0) {
-    if (!overlapped) {
-      timing.Charge(Bucket::kBitmaps, 2 * opts.costs.msg_latency_ns);
-    }
+    timing.Charge(Bucket::kBitmaps, 2 * opts.costs.msg_latency_ns);
     // Detection rounds only involve nodes that arrived at this barrier, so a
     // peer death here is unexpected — the abort predicate is defensive.
     node_.cv_.wait(lk, [this] { return bitmap_replies_pending_ == 0 || node_.aborted_; });
     node_.ThrowIfAbortedLocked();
-    if (!overlapped) {
-      timing.Charge(Bucket::kBitmaps,
-                    opts.costs.per_byte_ns * static_cast<double>(bitmap_round_bytes_));
-    } else {
-      round_ns = 2 * opts.costs.msg_latency_ns +
-                 opts.costs.per_byte_ns * static_cast<double>(bitmap_round_bytes_);
-    }
+    timing.Charge(Bucket::kBitmaps,
+                  opts.costs.per_byte_ns * static_cast<double>(bitmap_round_bytes_));
   }
 
   const uint64_t compared_before = detector.stats().bitmap_pairs_compared;
@@ -464,57 +360,35 @@ void BarrierCoordinator::CompareEpochsSerial(std::unique_lock<std::mutex>& lk, E
     auto it = collected_bitmaps_.find(std::make_pair(interval, page));
     return it == collected_bitmaps_.end() ? nullptr : &it->second;
   };
-  std::vector<std::vector<RaceReport>> all_reports;
-  all_reports.reserve(work.size());
-  size_t total_reports = 0;
-  for (const EpochCheckView& w : work) {
-    all_reports.push_back(detector.CompareBitmaps(*w.pairs, lookup, w.epoch, w.needed->size()));
-    total_reports += all_reports.back().size();
-  }
+  std::vector<RaceReport> reports = detector.CompareBitmaps(pairs, lookup, epoch, needed.size());
   const uint64_t compared = detector.stats().bitmap_pairs_compared - compared_before;
   const double chunks = static_cast<double>((opts.page_size / kWordSize + 63) / 64);
-  const double compare_ns = opts.costs.bitmap_cmp_word_ns * chunks * static_cast<double>(compared);
-  if (!overlapped) {
-    timing.Charge(Bucket::kBitmaps, compare_ns);
-  } else {
-    // §6.2's overlap idea: the master compares pairs whose bitmaps are
-    // already local while the retrieval round is still in flight. Perfect
-    // overlap — the epoch pays the longer of the two legs, not their sum.
-    timing.Charge(Bucket::kBitmaps, std::max(round_ns, compare_ns));
-    const double saved_ns = std::min(round_ns, compare_ns);
-    pipeline_stats_.overlap_saved_ns += saved_ns;
-    if constexpr (obs::kObsCompiledIn) {
-      if (have_metrics_) {
-        mh_.overlap_saved_ns->Add(static_cast<uint64_t>(saved_ns));
-      }
-    }
-  }
+  timing.Charge(Bucket::kBitmaps,
+                opts.costs.bitmap_cmp_word_ns * chunks * static_cast<double>(compared));
+  // The serial round ships raw bitmaps, so its wire bytes are its raw bytes.
   pipeline_stats_.bitmap_bytes_wire += bitmap_round_bytes_;
-  pipeline_stats_.bitmap_bytes_raw += bitmap_round_raw_bytes_;
+  pipeline_stats_.bitmap_bytes_raw += bitmap_round_bytes_;
 
   bitmaps_span.SetArg("compared", compared);
   if constexpr (obs::kObsCompiledIn) {
     if (have_metrics_) {
       mh_.bitmap_pairs_compared->Add(compared);
-      mh_.races_reported->Add(total_reports);
+      mh_.races_reported->Add(reports.size());
       mh_.bitmap_bytes_wire->Add(bitmap_round_bytes_);
-      mh_.bitmap_bytes_raw->Add(bitmap_round_raw_bytes_);
-      mh_.bitmap_bytes_saved->Add(bitmap_round_raw_bytes_ - bitmap_round_bytes_);
+      mh_.bitmap_bytes_raw->Add(bitmap_round_bytes_);
     }
   }
-  for (std::vector<RaceReport>& reports : all_reports) {
-    PublishReports(std::move(reports));
-  }
+  PublishReports(std::move(reports));
   collected_bitmaps_.clear();
 }
 
 std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(
-    std::unique_lock<std::mutex>& lk, EpochId msg_epoch, EpochId report_epoch,
-    const std::vector<CheckPair>& pairs, size_t checklist_entries) {
+    std::unique_lock<std::mutex>& lk, EpochId epoch, const std::vector<CheckPair>& pairs,
+    size_t checklist_entries) {
   RaceDetector& detector = node_.system_->detector();
   const DsmOptions& opts = node_.opts_;
   NodeTiming& timing = node_.timing_;
-  obs::Span span(node_.tracer_, node_.id_, "detector.compare.remote", "race", timing, msg_epoch);
+  obs::Span span(node_.tracer_, node_.id_, "detector.compare.remote", "race", timing, epoch);
 
   // Assign every check pair to one of its two member nodes. The master owns
   // any pair it participates in (its bitmaps never leave node 0); remaining
@@ -585,7 +459,7 @@ std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(
   compare_replies_pending_ = static_cast<int>(requests.size());
   const uint64_t request_time = static_cast<uint64_t>(timing.now_ns());
   for (auto& [node, request] : requests) {
-    request.epoch = msg_epoch;
+    request.epoch = epoch;
     request.request_time_ns = request_time;
     auto it = ship_sources.find(node);
     request.expected_ship_msgs =
@@ -615,7 +489,7 @@ std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(
   for (const OwnedPair& owned : master_pairs) {
     std::vector<RaceReport> pair_reports =
         RaceDetector::CompareOnePair(owned.pair->a.id, owned.pair->b.id, owned.pair->pages,
-                                     lookup, report_epoch, &master_compared);
+                                     lookup, epoch, &master_compared);
     for (RaceReport& report : pair_reports) {
       tagged.emplace_back(owned.index, std::move(report));
     }
@@ -647,7 +521,7 @@ std::vector<RaceReport> BarrierCoordinator::RunDistributedCompare(
       report.word = e.word;
       report.interval_a = e.interval_a;
       report.interval_b = e.interval_b;
-      report.epoch = report_epoch;
+      report.epoch = epoch;
       tagged.emplace_back(e.pair_index, std::move(report));
     }
   }
@@ -840,42 +714,36 @@ void BarrierCoordinator::TreeRunBarrier(std::unique_lock<std::mutex>& lk, EpochI
       }
     }
     if (detecting) {
-      {
-        DetectTimer detect_timer{timing, timing.now_ns(), &pipeline_stats_.detect_ns};
-        node_.system_->detector().AccumulateBuild(claim_stats);
-        // Rehydrate the subtree fragments from the merged log (every record
-        // reaches the root) and interleave the root's own claims; (a.id, b.id)
-        // order is exactly the flat serial scan's emission order, so the
-        // merged check list — and with it every downstream report — is
-        // byte-identical to the flat pipeline's.
-        std::vector<CheckPair> pairs = std::move(claimed);
-        pairs.reserve(pairs.size() + fragments.size());
-        for (const TreeFragmentPair& fragment : fragments) {
-          const IntervalRecord* a = node_.log_.Find(fragment.a);
-          const IntervalRecord* b = node_.log_.Find(fragment.b);
-          CVM_CHECK(a != nullptr) << "fragment interval missing from the merged log";
-          CVM_CHECK(b != nullptr) << "fragment interval missing from the merged log";
-          pairs.push_back(CheckPair{*a, *b, fragment.pages});
-        }
-        std::sort(pairs.begin(), pairs.end(), [](const CheckPair& x, const CheckPair& y) {
-          return x.a.id == y.a.id ? x.b.id < y.b.id : x.a.id < y.a.id;
-        });
-        if constexpr (obs::kObsCompiledIn) {
-          if (have_metrics_) {
-            mh_.check_pairs->Add(pairs.size());
-          }
-        }
-        if (!pairs.empty()) {
-          DispatchDetection(lk, epoch, pairs);
+      DetectTimer detect_timer{timing, timing.now_ns(), &pipeline_stats_.detect_ns};
+      node_.system_->detector().AccumulateBuild(claim_stats);
+      // Rehydrate the subtree fragments from the merged log (every record
+      // reaches the root) and interleave the root's own claims; (a.id, b.id)
+      // order is exactly the flat serial scan's emission order, so the
+      // merged check list — and with it every downstream report — is
+      // byte-identical to the flat pipeline's.
+      std::vector<CheckPair> pairs = std::move(claimed);
+      pairs.reserve(pairs.size() + fragments.size());
+      for (const TreeFragmentPair& fragment : fragments) {
+        const IntervalRecord* a = node_.log_.Find(fragment.a);
+        const IntervalRecord* b = node_.log_.Find(fragment.b);
+        CVM_CHECK(a != nullptr) << "fragment interval missing from the merged log";
+        CVM_CHECK(b != nullptr) << "fragment interval missing from the merged log";
+        pairs.push_back(CheckPair{*a, *b, fragment.pages});
+      }
+      std::sort(pairs.begin(), pairs.end(), [](const CheckPair& x, const CheckPair& y) {
+        return x.a.id == y.a.id ? x.b.id < y.b.id : x.a.id < y.a.id;
+      });
+      if constexpr (obs::kObsCompiledIn) {
+        if (have_metrics_) {
+          mh_.check_pairs->Add(pairs.size());
         }
       }
-      // Outside the timer: the flush charges its own detect_ns.
-      MaybeFlushDetectBatch(lk, epoch);
+      if (!pairs.empty()) {
+        DispatchDetection(lk, epoch, pairs);
+      }
     }
     SendTreeReleasesLocked(epoch, children);
-    if (pending_batch_.empty()) {
-      node_.GarbageCollectLocked();
-    }
+    node_.GarbageCollectLocked();
     if constexpr (obs::kObsCompiledIn) {
       if (node_.metrics_ != nullptr) {
         node_.PublishOverheadLocked();
@@ -1022,26 +890,30 @@ void BarrierCoordinator::OnTreeRelease(const Message& msg) {
   node_.cv_.notify_all();
 }
 
-EncodedBitmap BarrierCoordinator::EncodeMaybeInterned(NodeId dest, PageId page, bool is_write,
-                                                      const Bitmap& bitmap) {
-  if (!node_.opts_.intern_bitmaps) {
-    return BitmapCodec::Encode(bitmap, node_.opts_.compress_bitmaps);
-  }
+EncodedBitmap BarrierCoordinator::EncodeInterned(NodeId dest, PageId page, bool is_write,
+                                                 const Bitmap& bitmap) {
   const InternKey key{dest, page, is_write};
   auto it = intern_out_.find(key);
+  EncodedBitmap full = BitmapCodec::Encode(bitmap);
   if (it != intern_out_.end() && it->second.content == bitmap) {
     // The destination's mirror already holds identical content: send the
-    // 'same as epoch E' token instead of the payload.
+    // 'same as epoch E' token instead of the payload, unless the payload is
+    // smaller (an empty or few-bit bitmap); a tie goes to the token.
+    EncodedBitmap token;
+    token.encoding = BitmapEncoding::kInterned;
+    token.num_bits = bitmap.size();
+    token.generation = it->second.generation;
+    if (token.WireBytes() > full.WireBytes()) {
+      full.generation = it->second.generation;  // Mirror stays in step.
+      return full;
+    }
     ++intern_stats_.hits;
+    intern_stats_.bytes_saved += full.WireBytes() - token.WireBytes();
     if constexpr (obs::kObsCompiledIn) {
       if (have_metrics_) {
         mh_.intern_hits->Add(1);
       }
     }
-    EncodedBitmap token;
-    token.encoding = BitmapEncoding::kInterned;
-    token.num_bits = bitmap.size();
-    token.generation = it->second.generation;
     return token;
   }
   if (it == intern_out_.end()) {
@@ -1064,27 +936,22 @@ EncodedBitmap BarrierCoordinator::EncodeMaybeInterned(NodeId dest, PageId page, 
   }
   it->second.content = bitmap;
   ++it->second.generation;
-  EncodedBitmap full = BitmapCodec::Encode(bitmap, node_.opts_.compress_bitmaps);
   full.generation = it->second.generation;
   return full;
 }
 
-Bitmap BarrierCoordinator::DecodeMaybeInterned(NodeId src, PageId page, bool is_write,
-                                               const EncodedBitmap& encoded) {
+Bitmap BarrierCoordinator::DecodeInterned(NodeId src, PageId page, bool is_write,
+                                          const EncodedBitmap& encoded) {
+  InternSlot& slot = intern_in_[InternKey{src, page, is_write}];
   if (encoded.encoding == BitmapEncoding::kInterned) {
-    auto it = intern_in_.find(InternKey{src, page, is_write});
-    CVM_CHECK(it != intern_in_.end()) << "interned bitmap with no cached predecessor";
-    CVM_CHECK_EQ(it->second.generation, encoded.generation)
+    CVM_CHECK_GT(slot.generation, 0u) << "interned bitmap with no cached predecessor";
+    CVM_CHECK_EQ(slot.generation, encoded.generation)
         << "interning caches out of step (reordered shipment?)";
-    return it->second.content;
+    return slot.content;
   }
-  Bitmap bitmap = BitmapCodec::Decode(encoded);
-  if (node_.opts_.intern_bitmaps) {
-    InternSlot& slot = intern_in_[InternKey{src, page, is_write}];
-    slot.content = bitmap;
-    slot.generation = encoded.generation;
-  }
-  return bitmap;
+  slot.content = BitmapCodec::Decode(encoded);
+  slot.generation = encoded.generation;
+  return slot.content;
 }
 
 void BarrierCoordinator::OnBarrierArrive(const Message& msg) {
@@ -1118,10 +985,10 @@ void BarrierCoordinator::OnBitmapRequest(const Message& msg) {
     if (bitmaps == nullptr) {
       continue;
     }
-    entries.push_back(
-        BitmapReplyEntry{entry.interval, entry.page,
-                         EncodeMaybeInterned(msg.from, entry.page, false, bitmaps->read),
-                         EncodeMaybeInterned(msg.from, entry.page, true, bitmaps->write)});
+    // The serial round keeps the paper's byte accounting: raw, uninterned.
+    entries.push_back(BitmapReplyEntry{entry.interval, entry.page,
+                                       BitmapCodec::Encode(bitmaps->read, false),
+                                       BitmapCodec::Encode(bitmaps->write, false)});
   }
   BitmapReplyMsg reply;
   reply.epoch = request.epoch;
@@ -1132,18 +999,12 @@ void BarrierCoordinator::OnBitmapRequest(const Message& msg) {
 void BarrierCoordinator::OnBitmapReply(const Message& msg) {
   const auto& reply = std::get<BitmapReplyMsg>(msg.payload);
   std::lock_guard<std::mutex> guard(node_.mu_);
-  size_t wire_entry_bytes = 0;
-  size_t raw_entry_bytes = 0;
   for (const BitmapReplyEntry& entry : *reply.entries) {
-    wire_entry_bytes += ReplyEntryWireBytes(entry);
-    raw_entry_bytes += ReplyEntryRawBytes(entry);
-    collected_bitmaps_.emplace(
-        std::make_pair(entry.interval, entry.page),
-        PageAccessBitmaps{DecodeMaybeInterned(msg.from, entry.page, false, entry.read),
-                          DecodeMaybeInterned(msg.from, entry.page, true, entry.write)});
+    collected_bitmaps_.emplace(std::make_pair(entry.interval, entry.page),
+                               PageAccessBitmaps{BitmapCodec::Decode(entry.read),
+                                                 BitmapCodec::Decode(entry.write)});
   }
   bitmap_round_bytes_ += msg.wire_bytes;
-  bitmap_round_raw_bytes_ += msg.wire_bytes + (raw_entry_bytes - wire_entry_bytes);
   CVM_CHECK_GT(bitmap_replies_pending_, 0);
   --bitmap_replies_pending_;
   if (bitmap_replies_pending_ == 0) {
@@ -1180,8 +1041,8 @@ void BarrierCoordinator::OnCompareRequest(const Message& msg) {
     }
     entries.push_back(
         BitmapReplyEntry{ship.interval, ship.page,
-                         EncodeMaybeInterned(ship.dest, ship.page, false, bitmaps->read),
-                         EncodeMaybeInterned(ship.dest, ship.page, true, bitmaps->write)});
+                         EncodeInterned(ship.dest, ship.page, false, bitmaps->read),
+                         EncodeInterned(ship.dest, ship.page, true, bitmaps->write)});
   }
   for (auto& [dest, entries] : by_dest) {
     for (const BitmapReplyEntry& entry : entries) {
@@ -1211,8 +1072,8 @@ void BarrierCoordinator::OnBitmapShip(const Message& msg) {
       master_ship_bytes_raw_ += ReplyEntryRawBytes(entry);
       collected_bitmaps_.emplace(
           std::make_pair(entry.interval, entry.page),
-          PageAccessBitmaps{DecodeMaybeInterned(msg.from, entry.page, false, entry.read),
-                            DecodeMaybeInterned(msg.from, entry.page, true, entry.write)});
+          PageAccessBitmaps{DecodeInterned(msg.from, entry.page, false, entry.read),
+                            DecodeInterned(msg.from, entry.page, true, entry.write)});
     }
     master_ship_target_ns_ =
         std::max(master_ship_target_ns_, static_cast<double>(ship.send_time_ns) +
@@ -1233,8 +1094,8 @@ void BarrierCoordinator::OnBitmapShip(const Message& msg) {
   for (const BitmapReplyEntry& entry : *ship.entries) {
     state.shipped.emplace(
         std::make_pair(entry.interval, entry.page),
-        PageAccessBitmaps{DecodeMaybeInterned(msg.from, entry.page, false, entry.read),
-                          DecodeMaybeInterned(msg.from, entry.page, true, entry.write)});
+        PageAccessBitmaps{DecodeInterned(msg.from, entry.page, false, entry.read),
+                          DecodeInterned(msg.from, entry.page, true, entry.write)});
   }
   ++state.ships_received;
   TryFinishRemoteCompare(ship.epoch);

@@ -1,10 +1,10 @@
 // Barrier engine, extracted from the node monolith: barrier arrival/release
 // bookkeeping (master = node 0 collects arrivals, merges interval logs,
 // releases workers) and the orchestration of the barrier-time race-detection
-// pipeline in all three modes — serial, sharded check-list build with the
-// §6.2 bitmap-round/compare overlap, and the fully distributed compare
-// (CompareRequest / BitmapShip / CompareReply). One BarrierCoordinator per
-// node; master-side state is only exercised on node 0.
+// pipeline in both modes — the paper's serial master round (BitmapRequest /
+// BitmapReply) and the distributed compare (CompareRequest / BitmapShip /
+// CompareReply). One BarrierCoordinator per node; master-side state is only
+// exercised on node 0.
 #ifndef CVM_DSM_BARRIER_COORDINATOR_H_
 #define CVM_DSM_BARRIER_COORDINATOR_H_
 
@@ -30,30 +30,29 @@ namespace cvm {
 class Node;
 
 // Detection-pipeline accounting for one run, collected on the barrier master
-// (node 0): how the check was sharded/distributed and what the compressed
+// (node 0): how much of the check ran off-master and what the compressed
 // bitmap wire format saved. The ablation bench reports these side by side
-// for serial vs sharded vs distributed.
+// for serial vs distributed.
 struct PipelineStats {
-  uint64_t shards_used = 0;            // Workers used by the check-list build.
   uint64_t detect_epochs = 0;          // Epochs with a non-empty check list.
   double detect_ns = 0;                // Master sim time inside the barrier check.
   uint64_t bitmap_bytes_raw = 0;       // Bitmap-round payloads at legacy raw size.
-  uint64_t bitmap_bytes_wire = 0;      // Actual (possibly compressed) bytes.
-  double overlap_saved_ns = 0;         // Sim ns saved by overlapping round+compare.
+  uint64_t bitmap_bytes_wire = 0;      // Actual bytes (== raw in the serial round).
   uint64_t remote_pairs_compared = 0;  // Bitmap pairs compared off-master.
   uint64_t remote_reports = 0;         // Race reports shipped back by peers.
-  uint64_t batch_rounds = 0;           // Detection flushes run (detect_batch > 1).
-  uint64_t batched_epochs = 0;         // Epochs whose check lists rode a flush.
 };
 
-// Hit/miss accounting for the bitmap-interning cache (--intern-bitmaps): a
-// hit replaces a full bitmap shipment with a 'same as before' token; an
-// invalidation is a re-shipment because the page's bitmap changed since the
-// cached epoch (page redirtied differently).
+// Hit/miss accounting for the bitmap-interning cache of the distributed
+// pipeline's BitmapShip round: a hit replaces a full bitmap shipment with a
+// 'same as before' token; an invalidation is a re-shipment because the
+// page's bitmap changed since the cached epoch (page redirtied differently).
+// An unchanged bitmap whose compressed encoding is smaller than the token
+// ships that encoding and counts as neither.
 struct InternStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t invalidations = 0;
+  uint64_t bytes_saved = 0;  // Compressed size minus token size, over hits.
 };
 
 class BarrierCoordinator {
@@ -79,8 +78,8 @@ class BarrierCoordinator {
   // Meaningful on node 0 only (the barrier master runs the pipeline).
   const PipelineStats& pipeline_stats() const { return pipeline_stats_; }
 
-  // This node's sender-side interning accounting (zeros unless
-  // --intern-bitmaps; every node that ships bitmaps contributes).
+  // This node's sender-side interning accounting (zeros under the serial
+  // pipeline; every node that ships bitmaps contributes).
   const InternStats& intern_stats() const { return intern_stats_; }
 
   // Master-side health check (node mutex held): heartbeat-probes every node
@@ -106,58 +105,38 @@ class BarrierCoordinator {
   // interest, read notices stripped (node mutex held, log not yet GC'd).
   void SendTreeReleasesLocked(EpochId epoch, const std::vector<NodeId>& children);
 
-  // ---- Epoch-batched detection (--detect-batch=N) ----
-  // This epoch's records only — the detection input when prior epochs' logs
-  // are intentionally retained (batching) or merged (tree).
+  // This epoch's records only — the input of a tree node's claimed-pair
+  // build.
   std::vector<IntervalRecord> CurrentEpochRecords(EpochId epoch) const;
   // Shared detection tail for the flat and tree masters: computes the bitmap
-  // entries the pairs need, then runs the compare round now (batch <= 1) or
-  // parks the epoch's work on pending_batch_.
+  // entries the pairs need, then runs the pipeline's compare round.
   void DispatchDetection(std::unique_lock<std::mutex>& lk, EpochId epoch,
                          const std::vector<CheckPair>& pairs);
-  // Runs queued epochs' compare rounds if `epoch` closes a batch window (or
-  // is the run's final barrier); no-op otherwise. Master/root only.
-  void MaybeFlushDetectBatch(std::unique_lock<std::mutex>& lk, EpochId epoch);
-  // Borrowed view of one epoch's detection work; the immediate path points
-  // at the detector's pooled check list, the flush path at pending_batch_.
-  struct EpochCheckView {
-    EpochId epoch = -1;
-    const std::vector<CheckPair>* pairs = nullptr;
-    const std::vector<std::pair<IntervalId, PageId>>* needed = nullptr;
-  };
-  // Serial/sharded step-5 tail shared by the immediate and batched paths:
-  // one combined bitmap-retrieval round over every listed epoch's needs,
-  // then the per-epoch word compares, oldest epoch first. `msg_epoch` rides
-  // the request messages (= the constituents' current barrier epoch).
-  void CompareEpochsSerial(std::unique_lock<std::mutex>& lk, EpochId msg_epoch,
-                           const std::vector<EpochCheckView>& work);
+  // kSerial step 4 + 5: one raw bitmap-retrieval round over `needed`, then
+  // the word compares on the master.
+  void CompareSerial(std::unique_lock<std::mutex>& lk, EpochId epoch,
+                     const std::vector<CheckPair>& pairs,
+                     const std::vector<std::pair<IntervalId, PageId>>& needed);
 
-  // ---- Bitmap interning (--intern-bitmaps) ----
-  // Encodes one side of a reply/ship entry through the per-destination
-  // cache: returns a kInterned token when `dest` already holds identical
-  // content, a full (cache-updating) encoding otherwise.
-  EncodedBitmap EncodeMaybeInterned(NodeId dest, PageId page, bool is_write,
-                                    const Bitmap& bitmap);
+  // ---- Bitmap interning (BitmapShip only) ----
+  // Encodes one side of a ship entry through the per-destination cache:
+  // returns a kInterned token when `dest` already holds identical content
+  // and the token is no larger than the compressed encoding, that encoding
+  // otherwise (cache-updating when the content changed).
+  EncodedBitmap EncodeInterned(NodeId dest, PageId page, bool is_write, const Bitmap& bitmap);
   // Inverse: resolves kInterned tokens against the mirror of what `src`
   // last sent us and keeps the mirror current on full shipments.
-  Bitmap DecodeMaybeInterned(NodeId src, PageId page, bool is_write,
-                             const EncodedBitmap& encoded);
+  Bitmap DecodeInterned(NodeId src, PageId page, bool is_write, const EncodedBitmap& encoded);
 
   // kDistributed step 5: partition the check pairs over their member nodes,
   // orchestrate the ship/compare/reply round, merge remote reports back into
-  // serial order. Returns the merged, ordered reports. `msg_epoch` rides the
-  // messages (it must match the constituents' current barrier epoch);
-  // `report_epoch` stamps the reports — the two differ when a batched flush
-  // replays an earlier epoch's pairs.
-  std::vector<RaceReport> RunDistributedCompare(std::unique_lock<std::mutex>& lk,
-                                                EpochId msg_epoch, EpochId report_epoch,
+  // serial order. Returns the merged, ordered reports.
+  std::vector<RaceReport> RunDistributedCompare(std::unique_lock<std::mutex>& lk, EpochId epoch,
                                                 const std::vector<CheckPair>& pairs,
                                                 size_t checklist_entries);
   // Emits reports (addr/symbol resolution + trace) and hands them to the
-  // system. Shared tail of all three pipeline modes.
+  // system. Shared tail of both pipelines.
   void PublishReports(std::vector<RaceReport> reports);
-  // Worker count for the sharded check-list build (>= 1).
-  int DetectShardCount() const;
   // Constituent side of the distributed compare: runs once this node has the
   // master's CompareRequest AND all expected inbound ships for `epoch`.
   void TryFinishRemoteCompare(EpochId epoch);
@@ -189,14 +168,6 @@ class BarrierCoordinator {
   };
   std::map<NodeId, TreeChildState> tree_child_state_;
 
-  // ---- Batched-detection state (master/root only) ----
-  struct PendingEpoch {
-    EpochId epoch = -1;
-    std::vector<CheckPair> pairs;
-    std::vector<std::pair<IntervalId, PageId>> needed;
-  };
-  std::vector<PendingEpoch> pending_batch_;
-
   // Dense-probe scratch for this node's claimed-pair builds (tree mode);
   // interior nodes build concurrently, so the shared detector's arenas are
   // off limits here.
@@ -223,9 +194,6 @@ class BarrierCoordinator {
   std::map<std::pair<IntervalId, PageId>, PageAccessBitmaps> collected_bitmaps_;
   int bitmap_replies_pending_ = 0;
   uint64_t bitmap_round_bytes_ = 0;
-  // What the round's messages would have cost at the legacy raw encoding
-  // (identical to bitmap_round_bytes_ when compression is off).
-  uint64_t bitmap_round_raw_bytes_ = 0;
 
   // Master-side state for the distributed compare round (kDistributed).
   struct CompareReplyInfo {
@@ -263,19 +231,15 @@ class BarrierCoordinator {
     obs::Counter* checklist_entries = nullptr;
     obs::Counter* bitmap_pairs_compared = nullptr;
     obs::Counter* races_reported = nullptr;
-    obs::Counter* shard_count = nullptr;
     obs::Counter* bitmap_bytes_raw = nullptr;
     obs::Counter* bitmap_bytes_wire = nullptr;
     obs::Counter* bitmap_bytes_saved = nullptr;
-    obs::Counter* overlap_saved_ns = nullptr;
     obs::Counter* remote_pairs = nullptr;
     obs::Counter* remote_reports = nullptr;
     obs::Counter* tree_up_bytes = nullptr;
     obs::Counter* tree_down_bytes = nullptr;
     obs::Counter* tree_fragments = nullptr;
     obs::Counter* tree_height = nullptr;
-    obs::Counter* batch_rounds = nullptr;
-    obs::Counter* batch_epochs = nullptr;
     obs::Counter* intern_hits = nullptr;
     obs::Counter* intern_misses = nullptr;
     obs::Counter* intern_invalidations = nullptr;

@@ -183,9 +183,7 @@ RunResult DsmSystem::Run(const std::function<void(NodeContext&)>& app) {
       try {
         app(node);
         // Implicit final barrier: the last epoch's accesses get race-checked
-        // (the system only discards trace data after checking it). Marked
-        // final so a mid-batch detection queue flushes here.
-        node.MarkFinalBarrier();
+        // (the system only discards trace data after checking it).
         node.Barrier();
       } catch (const RunAbortError& err) {
         // A node died this run (this one, if err.self_crash). Discard the
@@ -250,6 +248,7 @@ RunResult DsmSystem::Run(const std::function<void(NodeContext&)>& app) {
     result.intern.hits += intern.hits;
     result.intern.misses += intern.misses;
     result.intern.invalidations += intern.invalidations;
+    result.intern.bytes_saved += intern.bytes_saved;
     result.intervals_total += node->intervals_created();
     result.page_faults += node->page_faults();
     result.bitmap_pairs_recorded += node->bitmap_pairs_recorded();

@@ -54,12 +54,11 @@ struct RunResult {
   NetworkStats net;
   fault::FaultStats fault;  // All-zero unless a fault plan was enabled.
   DetectorStats detector;
-  // How the detection pipeline ran (sharding, bitmap-wire compression,
-  // distributed compares) — all-zero under the serial default with raw
-  // encoding, except detect_epochs/shards_used.
+  // How the detection pipeline ran (bitmap-round bytes, distributed
+  // compares); the remote counters stay zero under the serial pipeline.
   PipelineStats pipeline;
   // Bitmap interning cache outcome, summed over all nodes' send-side caches
-  // (all-zero unless --intern-bitmaps).
+  // (all-zero under the serial pipeline).
   InternStats intern;
   AccessCounters access;
   // Messages that arrived with no registered dispatch handler, summed over

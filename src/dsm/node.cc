@@ -491,14 +491,6 @@ void Node::GarbageCollectLocked() {
   if (opts_.postmortem_trace) {
     return;  // The post-run trace dump needs every retained bitmap.
   }
-  // Epoch-batched detection: epochs whose check lists are still queued at
-  // the master have not been compared yet, so their word bitmaps must
-  // survive until the batch flush (the flush's bitmap round reads them).
-  const bool batching =
-      opts_.race_detection && opts_.online_detection && opts_.detect_batch > 1;
-  if (batching && !final_barrier_ && (epoch_ + 1) % opts_.detect_batch != 0) {
-    return;
-  }
   bitmaps_.DiscardThrough(cur_interval_);  // Epoch checked; trace data can go.
 }
 
@@ -536,11 +528,6 @@ void Node::Unlock(LockId lock) {
 }
 
 // ---------------- Barriers ----------------
-
-void Node::MarkFinalBarrier() {
-  std::lock_guard<std::mutex> guard(mu_);
-  final_barrier_ = true;
-}
 
 void Node::Barrier() {
   std::unique_lock<std::mutex> lk(mu_);

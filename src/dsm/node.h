@@ -18,7 +18,7 @@
 //   LockManager (src/dsm/)             — token locks, manager forwarding,
 //     grant-time interval shipping, record/replay ordering.
 //   BarrierCoordinator (src/dsm/)      — barrier arrival/release plus the
-//     serial/sharded/distributed race-detection pipeline.
+//     serial/distributed race-detection pipeline.
 //
 // All node state is guarded by mu_; blocking operations park the app thread
 // on cv_ while the service thread fills the corresponding reply slot.
@@ -102,12 +102,6 @@ class Node : public ProtocolHost {
 
   // Models `units` of uninstrumented computation (advances simulated time).
   void Compute(uint64_t units);
-
-  // Called by the DsmSystem app-thread wrapper just before the implicit
-  // final barrier: with epoch-batched detection (--detect-batch > 1) the
-  // master must flush any still-queued check lists at that barrier even if
-  // it falls mid-batch, and every node releases its deferred bitmaps.
-  void MarkFinalBarrier();
 
   // An instrumented access that ATOM could not prove private but that turns
   // out, at run time, to miss the shared segment (§5.1: the majority of
@@ -333,8 +327,6 @@ class Node : public ProtocolHost {
   EpochId abort_epoch_ = -1;
   uint64_t heartbeat_token_ = 0;
   uint64_t heartbeat_acks_ = 0;
-  // The next barrier is the run's implicit final one (see MarkFinalBarrier).
-  bool final_barrier_ = false;
   std::optional<EpochCheckpoint> checkpoint_;
   obs::Counter* peer_suspected_counter_ = nullptr;
   obs::Counter* locks_recovered_counter_ = nullptr;

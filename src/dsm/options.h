@@ -18,19 +18,17 @@ namespace cvm {
 // src/protocol/protocol_kind.h; this header re-exports them via the include
 // above so run configuration stays a one-stop shop.
 
-// How the barrier-time race check is executed (§6.2–§6.3 discuss both the
-// overlap-method cost and distributing the check across nodes).
+// How the barrier-time race check is executed (§4; §6.2 suggests spreading
+// it across nodes).
 enum class DetectionPipeline : uint8_t {
   // The paper's prototype: the whole check runs serially on the barrier
-  // master, with one blocking full-bitmap retrieval round.
+  // master, with one blocking full-bitmap retrieval round. Bitmaps travel
+  // raw and uninterned, which keeps the paper's byte accounting.
   kSerial,
-  // The check-list pair loop is sharded across a worker pool (deterministic
-  // merge; reports byte-identical to serial) and the master's bitmap
-  // comparisons overlap the retrieval round instead of waiting for it.
-  kSharded,
-  // Additionally distributes step 5: each check pair is assigned to one of
-  // its member nodes, which compares the bitmaps it already owns locally and
-  // ships back only race reports; cross-node bitmaps travel compressed.
+  // Distributes step 5: each check pair is assigned to one of its member
+  // nodes, which compares the bitmaps it already owns locally and ships back
+  // only race reports. Cross-node bitmaps always travel compressed and
+  // interned (a 'same as before' token replaces an unchanged bitmap).
   kDistributed,
 };
 
@@ -58,12 +56,9 @@ struct DsmOptions {
   bool postmortem_trace = false;
   WriteDetection write_detection = WriteDetection::kInstrumentation;
   OverlapMethod overlap_method = OverlapMethod::kPageLists;
-  // Barrier-time check execution: serial master (the paper's prototype),
-  // sharded+overlapped master, or distributed across constituent nodes.
+  // Barrier-time check execution: serial master (the paper's prototype) or
+  // distributed across constituent nodes.
   DetectionPipeline detection_pipeline = DetectionPipeline::kSerial;
-  // Worker count for the sharded check-list build (kSharded/kDistributed).
-  // 0 = derive from std::thread::hardware_concurrency(), clamped to [1, 8].
-  int detect_shards = 0;
   // Hierarchical barrier: arrivals combine up a k-ary tree (heap numbering,
   // node 0 at the root) instead of every worker sending straight to the
   // master, and releases flow back down the same tree. Interior nodes merge
@@ -75,23 +70,6 @@ struct DsmOptions {
   // Combine-tree fan-out (children per interior node); used only when
   // barrier_tree is set. Must be in [1, num_nodes].
   int barrier_fanout = 4;
-  // Batch the barrier-time race check across N epochs: the check list is
-  // still built eagerly every epoch (records are fresh and cheap to scan),
-  // but the bitmap-retrieval round and word-level compares run once per N
-  // epochs over the accumulated lists, amortizing round setup. 1 = the
-  // paper's check-every-barrier behavior. Reports are identical to batch=1
-  // and still emitted in epoch order.
-  int detect_batch = 1;
-  // Generation-stamped bitmap interning: senders remember the last bitmap
-  // content shipped per (destination, page, read/write) and replace repeat
-  // shipments with a 'same-as-before' token the receiver resolves from its
-  // mirror cache. Saves wire bytes when steady-state epochs redirty the
-  // same words; invalidated the moment the content changes.
-  bool intern_bitmaps = false;
-  // Encode bitmap-round payloads with the sparse/run-length codec instead of
-  // shipping raw page bitmaps. Off by default so the serial baseline keeps
-  // the paper's byte accounting.
-  bool compress_bitmaps = false;
   // §6.4: report only races from the earliest racy epoch.
   bool first_races_only = false;
 

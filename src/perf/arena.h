@@ -37,7 +37,7 @@ struct PoolStats {
 // objects so a one-off burst cannot pin memory forever.
 //
 // Not thread-safe: each pool lives inside one engine (BitmapStore,
-// IntervalLog, detector shard) whose own locking already serializes access.
+// IntervalLog, detector) whose own locking already serializes access.
 template <typename T>
 class ObjectPool {
  public:

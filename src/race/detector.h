@@ -3,12 +3,6 @@
 // pairs (vector-timestamp test), winnow to pairs with overlapping page
 // accesses (the check list), then compare word-granularity bitmaps to
 // separate false sharing from true data races.
-//
-// The check-list build (the O(n²) pair loop) can run sharded across a worker
-// pool: rows of the pair triangle are dealt round-robin to shards and the
-// per-row results merged back in row order, so the sharded check list is
-// byte-identical to the serial one (same pairs, same order) — reports stay
-// reproducible no matter how many workers ran.
 #ifndef CVM_RACE_DETECTOR_H_
 #define CVM_RACE_DETECTOR_H_
 
@@ -47,8 +41,8 @@ struct DetectorStats {
   void Accumulate(const DetectorStats& other);
 };
 
-// Reusable working state for the dense-bitmap overlap probe. One scratch per
-// shard lives inside the RaceDetector across epochs, so a steady-state epoch
+// Reusable working state for the dense-bitmap overlap probe. One scratch
+// lives inside the RaceDetector across epochs, so a steady-state epoch
 // probes every pair without allocating: Prepare() only builds the bitmaps
 // when the page count changes (stats->overlap_scratch_builds counts those),
 // otherwise it zero-fills in place.
@@ -103,23 +97,16 @@ class RaceDetector {
   // Intervals on the same node are never compared (program order), and the
   // vector-timestamp test prunes synchronized pairs in constant time.
   //
+  // The pair loop runs on the calling thread over the upper triangle (row i
+  // against every j > i), so the list comes out in (a.id, b.id) order for
+  // IntervalId-sorted input.
+  //
   // The returned reference points at detector-owned scratch (the check list
-  // and its per-row staging vectors persist across epochs, so steady-state
-  // builds reuse every element's heap storage instead of reallocating). It
-  // is valid until the next Build* call; callers that keep pairs across
-  // epochs (e.g. the batched master) must copy.
+  // persists across epochs, so steady-state builds reuse every element's
+  // heap storage instead of reallocating). It is valid until the next
+  // BuildCheckList call.
   const std::vector<CheckPair>& BuildCheckList(
       const std::vector<IntervalRecord>& epoch_intervals);
-
-  // Same result, same order, but the pair loop runs on `num_shards` worker
-  // threads (row i of the triangle goes to shard i % num_shards, which keeps
-  // the triangular work balanced). When `per_shard` is non-null it receives
-  // one DetectorStats per shard, so the caller can charge simulated time for
-  // the *largest* shard (the parallel critical path) rather than the sum.
-  // num_shards <= 1 degenerates to the serial loop on the calling thread.
-  const std::vector<CheckPair>& BuildCheckListSharded(
-      const std::vector<IntervalRecord>& epoch_intervals, int num_shards,
-      std::vector<DetectorStats>* per_shard = nullptr);
 
   // Check-list pairs among `intervals` that `claim` accepts, built via a
   // page -> accessing-intervals index instead of the all-pairs scan: only
@@ -184,38 +171,15 @@ class RaceDetector {
   int num_pages_;
   OverlapMethod method_;
   DetectorStats stats_;
-  // One dense-probe scratch per shard, kept across epochs so steady-state
-  // check-list builds allocate nothing. Grown (never shrunk) on demand;
-  // shard i is the exclusive user of shard_scratch_[i] during a build.
-  std::vector<OverlapScratch> shard_scratch_;
-  // Persistent check-list arenas: rows_ stages per-row results during the
-  // (possibly sharded) pair loop, checklist_ holds the merged output that
-  // Build* returns by reference. Both grow but never shrink their element
-  // storage — row_used_ tracks the live prefix of each row, so a new epoch
-  // overwrites slots in place (IntervalRecord / page-vector assignment
-  // reuses heap capacity) instead of destroying and reallocating them.
-  std::vector<std::vector<CheckPair>> rows_;
-  std::vector<size_t> row_used_;
+  // Dense-probe scratch, kept across epochs so steady-state check-list
+  // builds allocate nothing.
+  OverlapScratch scratch_;
+  // Persistent check-list arena that BuildCheckList returns by reference. A
+  // new epoch overwrites the previous epoch's slots in place (IntervalRecord
+  // / page-vector assignment reuses heap capacity) instead of destroying and
+  // reallocating them; only slots past this epoch's pair count are dropped.
   std::vector<CheckPair> checklist_;
 };
-
-// Assigns a check pair into a pooled slot: overwrites `row`[*used] in place
-// when a retired slot exists (element assignment reuses the slot's heap
-// storage), appends otherwise. Shared by the serial/sharded row loop and the
-// tree fragment builder so both benefit from the persistent arenas.
-inline void EmitCheckPair(const IntervalRecord& a, const IntervalRecord& b,
-                          const std::vector<PageId>& pages, std::vector<CheckPair>* row,
-                          size_t* used) {
-  if (*used < row->size()) {
-    CheckPair& slot = (*row)[*used];
-    slot.a = a;
-    slot.b = b;
-    slot.pages = pages;
-  } else {
-    row->push_back(CheckPair{a, b, pages});
-  }
-  ++*used;
-}
 
 }  // namespace cvm
 

@@ -41,10 +41,6 @@ struct CostParams {
   double interval_cmp_ns = 60;        // One version-vector concurrency test.
   double page_overlap_ns = 35;        // Per page-pair overlap probe.
   double bitmap_cmp_word_ns = 1.6;    // Per 64-bit word of bitmap comparison.
-  // Forking/joining one worker of the sharded check-list build (thread wake,
-  // cache warm-up, result hand-back). Charged per shard actually used, so
-  // over-sharding a small epoch visibly costs more than it saves.
-  double shard_fork_ns = 2500;
   // Hierarchical-barrier costs. tree_merge_ns is the software cost of
   // folding one child's combine message into the parent's state (log merge
   // + VC max), charged per child per barrier at every interior node of the

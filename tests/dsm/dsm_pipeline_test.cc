@@ -1,8 +1,9 @@
-// End-to-end equivalence of the three detection pipelines (§4 step 5,
-// §6.2): for a deterministic racy workload, the sharded and distributed
-// pipelines must report exactly the races the serial paper pipeline
-// reports — same kinds, same words, same interval pairs — under every
-// consistency protocol, with and without bitmap compression.
+// End-to-end equivalence of the two detection pipelines (§4 step 5,
+// §6.2): for a deterministic racy workload, the distributed pipeline must
+// report exactly the races the serial paper pipeline reports — same kinds,
+// same words, same interval pairs — under every consistency protocol. The
+// serial round ships raw bitmaps (wire bytes == raw bytes); the distributed
+// round ships them compressed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -53,20 +54,24 @@ std::vector<std::string> ReportKey(const RunResult& result) {
   return key;
 }
 
-RunResult RunPipeline(ProtocolKind protocol, DetectionPipeline pipeline, bool compress) {
+RunResult RunPipeline(ProtocolKind protocol, DetectionPipeline pipeline) {
   DsmOptions options = SmallOptions(4, protocol);
   options.detection_pipeline = pipeline;
-  options.compress_bitmaps = compress;
-  options.detect_shards = 3;  // Exercise real sharding regardless of host cores.
   DsmSystem system(options);
   auto data = SharedArray<int32_t>::Alloc(system, "data", 64);
-  return system.Run([&](NodeContext& ctx) { RacyApp(ctx, data); });
+  RunResult result = system.Run([&](NodeContext& ctx) { RacyApp(ctx, data); });
+  if (pipeline == DetectionPipeline::kSerial) {
+    // The paper's byte accounting: the serial round never compresses.
+    EXPECT_GT(result.pipeline.bitmap_bytes_raw, 0u);
+    EXPECT_EQ(result.pipeline.bitmap_bytes_wire, result.pipeline.bitmap_bytes_raw);
+  }
+  return result;
 }
 
 class PipelineEquivalenceTest : public ::testing::TestWithParam<ProtocolKind> {};
 
-TEST_P(PipelineEquivalenceTest, ShardedAndDistributedMatchSerial) {
-  const RunResult serial = RunPipeline(GetParam(), DetectionPipeline::kSerial, false);
+TEST_P(PipelineEquivalenceTest, DistributedMatchesSerial) {
+  const RunResult serial = RunPipeline(GetParam(), DetectionPipeline::kSerial);
   // The workload has known true races and cleared false sharing.
   EXPECT_FALSE(serial.races.empty());
   bool has_ww = false;
@@ -77,33 +82,18 @@ TEST_P(PipelineEquivalenceTest, ShardedAndDistributedMatchSerial) {
     EXPECT_NE(report.word, 9u) << "per-node slots are false sharing, not races";
   }
   EXPECT_TRUE(has_ww);
-  const auto expected = ReportKey(serial);
-
-  struct Variant {
-    DetectionPipeline pipeline;
-    bool compress;
-  };
-  for (const Variant& v : {Variant{DetectionPipeline::kSharded, false},
-                           Variant{DetectionPipeline::kSharded, true},
-                           Variant{DetectionPipeline::kDistributed, false},
-                           Variant{DetectionPipeline::kDistributed, true}}) {
-    const RunResult result = RunPipeline(GetParam(), v.pipeline, v.compress);
-    EXPECT_EQ(ReportKey(result), expected)
-        << "pipeline " << static_cast<int>(v.pipeline) << " compress " << v.compress;
-    if (v.pipeline == DetectionPipeline::kDistributed) {
-      // Constituents actually did compare work on the master's behalf.
-      EXPECT_GT(result.pipeline.remote_pairs_compared, 0u);
-    }
-  }
+  const RunResult distributed = RunPipeline(GetParam(), DetectionPipeline::kDistributed);
+  EXPECT_EQ(ReportKey(distributed), ReportKey(serial));
+  // Constituents actually did compare work on the master's behalf.
+  EXPECT_GT(distributed.pipeline.remote_pairs_compared, 0u);
 }
 
-TEST_P(PipelineEquivalenceTest, CompressionShrinksDistributedWireBytes) {
-  const RunResult raw = RunPipeline(GetParam(), DetectionPipeline::kDistributed, false);
-  const RunResult compressed = RunPipeline(GetParam(), DetectionPipeline::kDistributed, true);
-  // Raw mode models the legacy full-page payloads; the codec must not be
-  // larger and on these skewed bitmaps must strictly win.
-  EXPECT_LT(compressed.pipeline.bitmap_bytes_wire, raw.pipeline.bitmap_bytes_wire);
-  EXPECT_EQ(ReportKey(raw), ReportKey(compressed));
+TEST_P(PipelineEquivalenceTest, DistributedShipsCompressedBitmaps) {
+  const RunResult distributed = RunPipeline(GetParam(), DetectionPipeline::kDistributed);
+  // bitmap_bytes_raw models the legacy full-page payloads of the same
+  // entries; on these skewed bitmaps the codec must strictly win.
+  EXPECT_GT(distributed.pipeline.bitmap_bytes_raw, 0u);
+  EXPECT_LT(distributed.pipeline.bitmap_bytes_wire, distributed.pipeline.bitmap_bytes_raw);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, PipelineEquivalenceTest,
@@ -135,7 +125,6 @@ void NeighborReadApp(NodeContext& ctx, int num_nodes, uint64_t page_size) {
 NetworkStats RunNeighborRead(DetectionPipeline pipeline) {
   DsmOptions options = SmallOptions(4, ProtocolKind::kMultiWriterHomeLrc);
   options.detection_pipeline = pipeline;
-  options.detect_shards = 3;
   DsmSystem system(options);
   // One page per node, plus the falsely-shared page.
   (void)system.Alloc("pages", (options.num_nodes + 1) * options.page_size, true);
@@ -143,25 +132,14 @@ NetworkStats RunNeighborRead(DetectionPipeline pipeline) {
     NeighborReadApp(ctx, options.num_nodes, options.page_size);
   });
   EXPECT_TRUE(result.races.empty());
+  if (pipeline == DetectionPipeline::kSerial) {
+    EXPECT_EQ(result.pipeline.bitmap_bytes_wire, result.pipeline.bitmap_bytes_raw);
+  }
   // The falsely-shared page forces a real detection round to equate.
   EXPECT_GT(result.net.messages_by_kind.count("BitmapRequest") +
                 result.net.messages_by_kind.count("CompareRequest"),
             0u);
   return result.net;
-}
-
-// The refactor-invariance contract, per node: sharding only multi-threads
-// the master-local check-list build, so every message and byte — per kind
-// AND per sender — is identical to the serial pipeline.
-TEST(PipelineWireEquivalenceTest, ShardedMatchesSerialPerSenderAndKind) {
-  const NetworkStats serial = RunNeighborRead(DetectionPipeline::kSerial);
-  const NetworkStats sharded = RunNeighborRead(DetectionPipeline::kSharded);
-  EXPECT_EQ(serial.messages, sharded.messages);
-  EXPECT_EQ(serial.bytes, sharded.bytes);
-  EXPECT_EQ(serial.messages_by_kind, sharded.messages_by_kind);
-  EXPECT_EQ(serial.bytes_by_kind, sharded.bytes_by_kind);
-  EXPECT_EQ(serial.messages_by_sender, sharded.messages_by_sender);
-  EXPECT_EQ(serial.bytes_by_sender, sharded.bytes_by_sender);
 }
 
 // Distributing the compare step changes only the detection round's traffic
@@ -191,18 +169,16 @@ TEST(PipelineWireEquivalenceTest, DistributedChangesOnlyDetectionTraffic) {
 // result republishes.
 TEST(PipelineWireEquivalenceTest, BarrierCoordinatorExposesPipelineStats) {
   DsmOptions options = SmallOptions(4, ProtocolKind::kSingleWriterLrc);
-  options.detection_pipeline = DetectionPipeline::kSharded;
-  options.detect_shards = 3;
+  options.detection_pipeline = DetectionPipeline::kDistributed;
   DsmSystem system(options);
   auto data = SharedArray<int32_t>::Alloc(system, "data", 64);
   const RunResult result = system.Run([&](NodeContext& ctx) { RacyApp(ctx, data); });
 
   const PipelineStats& master = system.node(0).barrier_coordinator().pipeline_stats();
-  EXPECT_EQ(master.shards_used, result.pipeline.shards_used);
   EXPECT_EQ(master.detect_epochs, result.pipeline.detect_epochs);
   EXPECT_EQ(master.detect_ns, result.pipeline.detect_ns);
+  EXPECT_EQ(master.remote_pairs_compared, result.pipeline.remote_pairs_compared);
   EXPECT_GT(master.detect_epochs, 0u);
-  EXPECT_EQ(master.shards_used, 3u);
   // Workers never run the pipeline; their coordinators stay idle.
   for (NodeId worker = 1; worker < 4; ++worker) {
     EXPECT_EQ(system.node(worker).barrier_coordinator().pipeline_stats().detect_epochs,

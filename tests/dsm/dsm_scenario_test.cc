@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "src/dsm/dsm.h"
 #include "src/dsm/handles.h"
+#include "src/race/replay.h"
 
 namespace cvm {
 namespace {
@@ -31,8 +33,19 @@ class ScenarioTest : public ::testing::TestWithParam<ProtocolKind> {};
 // Figure 1: P1 writes x under lock L; P2 first reads x WITHOUT the lock
 // (the actual data race w1–r2), then reads it again under L (ordered by
 // P1's unlock and P2's lock — no race).
+//
+// The figure's interleaving grants L to P1 first. Left to the host
+// scheduler, P2 is sometimes granted L first; then r2 happens-before w1 and
+// there is no race to report. The run replays the figure's grant order
+// (§6.1 SyncSchedule) so the test always exercises the paper's execution.
 TEST_P(ScenarioTest, Figure1ActualRaceDetectedOrderedReadIsNot) {
-  DsmSystem system(SmallOptions(2, GetParam()));
+  SyncSchedule figure_order;
+  figure_order.RecordGrant(0, 0);  // P1 (node 0) first...
+  figure_order.RecordGrant(0, 1);  // ...then P2 (node 1).
+  DsmOptions options = SmallOptions(2, GetParam());
+  options.replay_schedule = &figure_order;
+  options.record_sync_order = true;
+  DsmSystem system(options);
   auto x = SharedVar<int32_t>::Alloc(system, "x");
 
   RunResult result = system.Run([&](NodeContext& ctx) {
@@ -48,6 +61,8 @@ TEST_P(ScenarioTest, Figure1ActualRaceDetectedOrderedReadIsNot) {
     }
   });
 
+  ASSERT_EQ(result.recorded_schedule.GrantsFor(0), (std::vector<NodeId>{0, 1}))
+      << "the replayed run must follow the figure's grant order";
   const size_t on_x = RacesOn(result.races, "x");
   EXPECT_GE(on_x, 1u) << "w1-r2 must be reported";
   for (const RaceReport& r : result.races) {

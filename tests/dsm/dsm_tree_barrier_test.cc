@@ -2,8 +2,9 @@
 // barrier (docs/ARCHITECTURE.md "Combine-tree barrier"): for a
 // deterministic barrier-only workload the tree must produce the
 // bit-identical race-report list — same kinds, words, interval pairs and
-// provenance — at every fanout, with and without epoch batching and
-// bitmap interning, under every consistency protocol. The tree changes
+// provenance — at every fanout, under both detection pipelines (the
+// distributed one ships interned bitmaps), under every consistency
+// protocol. The tree changes
 // how check lists are built and where barrier traffic flows; it must not
 // change what the detector reports or how the app-level coherence
 // traffic looks on the wire.
@@ -66,8 +67,7 @@ std::vector<std::string> ReportKey(const RunResult& result) {
 struct BarrierVariant {
   bool tree = false;
   int fanout = 4;
-  int detect_batch = 1;
-  bool intern = false;
+  DetectionPipeline pipeline = DetectionPipeline::kSerial;
 };
 
 RunResult RunHalo(int nodes, ProtocolKind protocol, const BarrierVariant& v,
@@ -75,8 +75,7 @@ RunResult RunHalo(int nodes, ProtocolKind protocol, const BarrierVariant& v,
   DsmOptions options = BaseOptions(nodes, protocol);
   options.barrier_tree = v.tree;
   options.barrier_fanout = v.fanout;
-  options.detect_batch = v.detect_batch;
-  options.intern_bitmaps = v.intern;
+  options.detection_pipeline = v.pipeline;
   DsmSystem system(options);
   auto data = SharedArray<int32_t>::Alloc(
       system, "halo", static_cast<size_t>(nodes) * kWordsPerPage);
@@ -93,20 +92,21 @@ TEST_P(TreeBarrierEquivalenceTest, TreeMatchesFlatBitForBit) {
   EXPECT_EQ(flat.races.size(), static_cast<size_t>(kNodes) * kEpochs);
   const auto expected = ReportKey(flat);
 
+  constexpr DetectionPipeline kSerial = DetectionPipeline::kSerial;
+  constexpr DetectionPipeline kDistributed = DetectionPipeline::kDistributed;
   for (const BarrierVariant& v :
-       {BarrierVariant{true, 2, 1, false},    // Deep binary tree.
-        BarrierVariant{true, 3, 1, false},    // Uneven last level.
-        BarrierVariant{true, 8, 1, false},    // Degenerate one-level star.
-        BarrierVariant{true, 2, 2, false},    // Epoch batching.
-        BarrierVariant{true, 2, 2, true}}) {  // Batching + interning.
+       {BarrierVariant{true, 2, kSerial},         // Deep binary tree.
+        BarrierVariant{true, 3, kSerial},         // Uneven last level.
+        BarrierVariant{true, 8, kSerial},         // Degenerate one-level star.
+        BarrierVariant{true, 2, kDistributed},    // Interned ships, deep tree.
+        BarrierVariant{true, 3, kDistributed}}) { // Interned ships, uneven tree.
     const RunResult result = RunHalo(kNodes, GetParam(), v);
     EXPECT_EQ(ReportKey(result), expected)
-        << "fanout " << v.fanout << " batch " << v.detect_batch << " intern "
-        << v.intern;
-    if (v.detect_batch > 1) {
-      // Batching really coalesced epochs into fewer detection rounds.
-      EXPECT_GT(result.pipeline.batched_epochs, 0u);
-      EXPECT_LT(result.pipeline.batch_rounds, result.pipeline.batched_epochs);
+        << "fanout " << v.fanout << " pipeline " << static_cast<int>(v.pipeline);
+    if (v.pipeline == kDistributed) {
+      // Every epoch redirties the same words, so later epochs' ships hit
+      // the interning cache.
+      EXPECT_GT(result.intern.hits, 0u) << "fanout " << v.fanout;
     }
   }
 }
@@ -125,7 +125,7 @@ TEST_P(TreeBarrierEquivalenceTest, DeterministicTrafficUnchanged) {
   constexpr int kNodes = 8;
   constexpr int kEpochs = 3;
   const RunResult flat = RunHalo(kNodes, GetParam(), BarrierVariant{});
-  const RunResult tree = RunHalo(kNodes, GetParam(), BarrierVariant{true, 3, 1, false});
+  const RunResult tree = RunHalo(kNodes, GetParam(), BarrierVariant{true, 3});
   const auto count = [](const RunResult& r, const char* kind) -> uint64_t {
     const auto it = r.net.messages_by_kind.find(kind);
     return it == r.net.messages_by_kind.end() ? 0 : it->second;
@@ -158,8 +158,8 @@ TEST(TreeBarrierScaleTest, SixtyFourNodesThreeLevels) {
   constexpr int kNodes = 64;
   const RunResult flat =
       RunHalo(kNodes, ProtocolKind::kSingleWriterLrc, BarrierVariant{}, 2);
-  const RunResult tree = RunHalo(kNodes, ProtocolKind::kSingleWriterLrc,
-                                 BarrierVariant{true, 4, 2, true}, 2);
+  const RunResult tree =
+      RunHalo(kNodes, ProtocolKind::kSingleWriterLrc, BarrierVariant{true, 4}, 2);
   EXPECT_EQ(flat.races.size(), static_cast<size_t>(kNodes) * 2);
   EXPECT_EQ(ReportKey(tree), ReportKey(flat));
   // The headline property: aggregation keeps barrier bytes well below the

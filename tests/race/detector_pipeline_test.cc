@@ -1,8 +1,7 @@
-// Equivalence properties of the detection pipeline's parallel/overlap
-// machinery: the sharded check-list build must be byte-identical to the
-// serial scan (same pairs, same order) for any shard count, and the two
-// page-overlap probes (§6.2: page lists vs dense page bitmaps) must agree
-// on randomized epochs.
+// Properties of the check-list build on randomized epochs: the two
+// page-overlap probes (§6.2: page lists vs dense page bitmaps) must agree,
+// the detector's persistent arena must not leak pairs between epochs, and
+// the bitmap round must fetch exactly what the compares touch.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -51,43 +50,35 @@ bool SamePair(const CheckPair& x, const CheckPair& y) {
   return x.a.id == y.a.id && x.b.id == y.b.id && x.pages == y.pages;
 }
 
-TEST(DetectorPipelineTest, ShardedCheckListMatchesSerialExactly) {
+// The check list is a pooled arena reused across epochs: a detector that
+// has already built other epochs must return exactly what a fresh one
+// builds (same pairs, same order, no stale tail), and its stats must grow
+// by exactly the fresh detector's counts.
+TEST(DetectorPipelineTest, ReusedDetectorMatchesFreshOne) {
   std::mt19937 rng(42);
+  RaceDetector reused(kNumPages);
   for (int trial = 0; trial < 50; ++trial) {
     const int nodes = 2 + trial % 15;
     const auto epoch = RandomEpoch(rng, nodes);
-    RaceDetector serial(kNumPages);
-    const auto expected = serial.BuildCheckList(epoch);
-    for (int shards : {2, 3, 4, 8, 31}) {
-      RaceDetector sharded(kNumPages);
-      std::vector<DetectorStats> per_shard;
-      const auto got = sharded.BuildCheckListSharded(epoch, shards, &per_shard);
-      ASSERT_EQ(got.size(), expected.size()) << "trial " << trial << " shards " << shards;
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_TRUE(SamePair(got[i], expected[i]))
-            << "trial " << trial << " shards " << shards << " pair " << i;
-      }
-      // Per-shard stats must sum to the serial totals: every comparison is
-      // done exactly once, just on a different thread.
-      DetectorStats sum;
-      for (const DetectorStats& s : per_shard) {
-        sum.Accumulate(s);
-      }
-      EXPECT_EQ(sum.interval_comparisons, serial.stats().interval_comparisons);
-      EXPECT_EQ(sum.concurrent_pairs, serial.stats().concurrent_pairs);
-      EXPECT_EQ(sum.page_overlap_probes, serial.stats().page_overlap_probes);
+    RaceDetector fresh(kNumPages);
+    const std::vector<CheckPair> expected = fresh.BuildCheckList(epoch);
+    const DetectorStats before = reused.stats();
+    const std::vector<CheckPair>& got = reused.BuildCheckList(epoch);
+    ASSERT_EQ(got.size(), expected.size()) << "trial " << trial;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(SamePair(got[i], expected[i])) << "trial " << trial << " pair " << i;
     }
+    const DetectorStats& after = reused.stats();
+    EXPECT_EQ(after.interval_comparisons - before.interval_comparisons,
+              fresh.stats().interval_comparisons);
+    EXPECT_EQ(after.concurrent_pairs - before.concurrent_pairs, fresh.stats().concurrent_pairs);
+    EXPECT_EQ(after.overlapping_pairs - before.overlapping_pairs,
+              fresh.stats().overlapping_pairs);
+    EXPECT_EQ(after.page_overlap_probes - before.page_overlap_probes,
+              fresh.stats().page_overlap_probes);
+    EXPECT_EQ(after.intervals_in_overlap - before.intervals_in_overlap,
+              fresh.stats().intervals_in_overlap);
   }
-}
-
-TEST(DetectorPipelineTest, ShardCountCappedAtRowCount) {
-  std::mt19937 rng(1);
-  const auto epoch = RandomEpoch(rng, 4);
-  RaceDetector detector(kNumPages);
-  std::vector<DetectorStats> per_shard;
-  detector.BuildCheckListSharded(epoch, 64, &per_shard);
-  EXPECT_LE(per_shard.size(), epoch.size());
-  EXPECT_GE(per_shard.size(), 1u);
 }
 
 TEST(DetectorPipelineTest, PageListsAndPageBitmapsAgree) {

@@ -44,7 +44,7 @@ int Usage() {
       "  --nodes=N           processors (default 4)\n"
       "  --seed=N            fault-injection seed (default 1)\n"
       "  --size=N            app scale knob, smaller = faster (default modest)\n"
-      "  --pipeline=P        serial | sharded | distributed barrier-time check\n"
+      "  --pipeline=P        serial | distributed barrier-time check\n"
       "  --barrier-tree      k-ary combine-tree barrier (default: flat)\n"
       "  --barrier-fanout=K  combine-tree fanout (default 4)\n"
       "\n"
@@ -204,8 +204,6 @@ int main(int argc, char** argv) {
   const std::string pipeline_name = flags.GetString("pipeline", "serial");
   if (pipeline_name == "serial") {
     pipeline = DetectionPipeline::kSerial;
-  } else if (pipeline_name == "sharded") {
-    pipeline = DetectionPipeline::kSharded;
   } else if (pipeline_name == "distributed") {
     pipeline = DetectionPipeline::kDistributed;
   } else {

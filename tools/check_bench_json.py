@@ -3,9 +3,9 @@
 
 Used by the CI bench-smoke steps: after running a bench, this asserts its
 JSON parses, every cell carries the full column set with sane types/values,
-and the modes' relative claims hold (compressed-distributed wire bytes <=
-raw bytes; reports match serial where required; flow tracing no more than
-2x plain tracing). Stdlib only.
+and the modes' relative claims hold (distributed wire bytes below raw and
+below serial; reports match serial where required; flow tracing no more
+than 2x plain tracing). Stdlib only.
 
 The schema is picked from the file's basename via the SCHEMAS registry;
 unknown BENCH_*.json names fail loudly so a new bench cannot ship without
@@ -30,13 +30,10 @@ DETECTOR_FIELDS = {
     "app": str,
     "mode": str,
     "procs": int,
-    "compress": bool,
     "detect_epochs": int,
     "detect_ns_per_epoch": (int, float),
     "bitmap_bytes_raw_per_epoch": (int, float),
     "bitmap_bytes_wire_per_epoch": (int, float),
-    "overlap_saved_ns_per_epoch": (int, float),
-    "shards": int,
     "remote_pairs_compared": int,
     "remote_reports": int,
     "races": int,
@@ -113,14 +110,11 @@ SCALING_FIELDS = {
     "reports_match": bool,
     "flat_detect_ns_per_epoch": (int, float),
     "tree_detect_ns_per_epoch": (int, float),
-    "batch_detect_ns_per_epoch": (int, float),
     "flat_wire_bytes_per_epoch": (int, float),
     "tree_wire_bytes_per_epoch": (int, float),
-    "batch_wire_bytes_per_epoch": (int, float),
-    "intern_hits": int,
 }
 
-MODES = {"serial", "sharded", "distributed"}
+MODES = {"serial", "distributed"}
 OBS_MODES = {"off", "trace", "trace+flows"}
 SERVICE_MODES = {"cold", "warm"}
 RECOVERY_MODES = {"clean", "crash_reboot"}
@@ -173,24 +167,30 @@ def check_detector(cells):
         serial = modes["serial"]
         if not serial["reports_exact_match"]:
             return fail(f"app {app}: serial cell must self-match")
-        for mode in ("sharded", "distributed"):
-            cell = modes[mode]
-            # Deterministic apps must reproduce the serial report stream
-            # byte-for-byte; TSP's schedule-dependent search only structurally.
-            required = (
-                cell["reports_structural_match"]
-                if app == "TSP"
-                else cell["reports_exact_match"]
-            )
-            if not required:
-                return fail(f"app {app}/{mode}: reports diverge from serial")
-        if modes["distributed"]["compress"]:
-            if (
-                serial["bitmap_bytes_raw_per_epoch"] > 0
-                and modes["distributed"]["bitmap_bytes_wire_per_epoch"]
-                >= serial["bitmap_bytes_wire_per_epoch"]
-            ):
-                return fail(f"app {app}: compressed-distributed wire bytes not below serial")
+        if serial["bitmap_bytes_wire_per_epoch"] != serial["bitmap_bytes_raw_per_epoch"]:
+            return fail(f"app {app}: serial round must ship raw bitmaps (wire == raw)")
+        distributed = modes["distributed"]
+        # Deterministic apps must reproduce the serial report stream
+        # byte-for-byte; TSP's schedule-dependent search only structurally.
+        required = (
+            distributed["reports_structural_match"]
+            if app == "TSP"
+            else distributed["reports_exact_match"]
+        )
+        if not required:
+            return fail(f"app {app}/distributed: reports diverge from serial")
+        # The distributed round always ships compressed, interned bitmaps.
+        if distributed["bitmap_bytes_raw_per_epoch"] > 0 and (
+            distributed["bitmap_bytes_wire_per_epoch"]
+            >= distributed["bitmap_bytes_raw_per_epoch"]
+        ):
+            return fail(f"app {app}: distributed wire bytes not below raw")
+        if (
+            serial["bitmap_bytes_raw_per_epoch"] > 0
+            and distributed["bitmap_bytes_wire_per_epoch"]
+            >= serial["bitmap_bytes_wire_per_epoch"]
+        ):
+            return fail(f"app {app}: distributed wire bytes not below serial")
     print(f"OK: {len(cells)} detector cells, {len(by_app)} app(s), all checks pass")
     return 0
 
@@ -412,7 +412,7 @@ def check_scaling(cells):
         if not cell["reports_match"]:
             return fail(
                 f"cell {i} ({cell['nodes']} nodes): race reports diverge "
-                "between flat and tree/batched pipelines"
+                "between the flat and tree barriers"
             )
         if cell["races"] <= 0:
             return fail(f"cell {i}: workload reported no races")

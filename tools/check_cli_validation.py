@@ -7,7 +7,11 @@ no silent clamping, no crash deep inside the run. A couple of known-good
 invocations guard against the opposite failure (validation so strict the
 tool rejects legal input). Registered as a ctest; stdlib only.
 
-Usage: tools/check_cli_validation.py CVM_RUN_BINARY [CVM_SERVE_BINARY]
+Inputs that earlier versions accepted and that are now gone (the sharded
+pipeline, epoch batching and the bitmap compress/intern switches) must be
+rejected too, naming the input, by every tool that used to take them.
+
+Usage: tools/check_cli_validation.py CVM_RUN_BINARY [CVM_SERVE_BINARY [CHAOS_RUN_BINARY]]
 """
 
 import subprocess
@@ -19,8 +23,6 @@ TIMEOUT_S = 120
 # nonzero. Cases use a tiny app config so even a bug that lets the run start
 # finishes quickly instead of hanging the sweep.
 BAD_RUN_CASES = [
-    (["--app=sor", "--size=16", "--nodes=2", "--detect-shards=0"], "detect-shards"),
-    (["--app=sor", "--size=16", "--nodes=2", "--detect-shards=-2"], "detect-shards"),
     (["--app=sor", "--size=16", "--nodes=0"], "nodes"),
     (["--app=sor", "--size=16", "--nodes=-3"], "nodes"),
     (["--app=sor", "--size=16", "--nodes=2", "--page-size=1000"], "page-size"),
@@ -57,28 +59,31 @@ BAD_RUN_CASES = [
       "--trace-json=/dev/null"], "trace-sample"),
     (["--app=nosuchapp"], "app"),
     (["--app=sor", "--size=16", "--nodes=2", "--frobnicate"], "frobnicate"),
-    # Hierarchical-barrier / batched-detection flags: shard and fanout counts
-    # are bounded by the cluster size; a batch of zero epochs is meaningless.
-    (["--app=sor", "--size=16", "--nodes=2", "--detect-shards=9"], "detect-shards"),
-    (["--app=sor", "--size=16", "--nodes=2", "--detect-batch=0"], "detect-batch"),
-    (["--app=sor", "--size=16", "--nodes=2", "--detect-batch=-4"], "detect-batch"),
+    # Hierarchical-barrier fanout is bounded by the cluster size.
     (["--app=sor", "--size=16", "--nodes=2", "--barrier-tree",
       "--barrier-fanout=0"], "barrier-fanout"),
     (["--app=sor", "--size=16", "--nodes=2", "--barrier-tree",
       "--barrier-fanout=9"], "barrier-fanout"),
+    # Deleted inputs: the detection pipeline is serial or distributed, and
+    # the message type alone decides the bitmap encoding.
+    (["--app=sor", "--size=16", "--nodes=2", "--pipeline=sharded"], "sharded"),
+    (["--app=sor", "--size=16", "--nodes=2", "--detect-shards=2"], "detect-shards"),
+    (["--app=sor", "--size=16", "--nodes=2", "--detect-batch=2"], "detect-batch"),
+    (["--app=sor", "--size=16", "--nodes=2", "--compress-bitmaps"], "compress-bitmaps"),
+    (["--app=sor", "--size=16", "--nodes=2", "--intern-bitmaps"], "intern-bitmaps"),
 ]
 
 GOOD_RUN_CASES = [
     ["--app=sor", "--size=16", "--nodes=2"],
-    ["--app=sor", "--size=16", "--nodes=2", "--pipeline=sharded", "--detect-shards=2"],
+    ["--app=sor", "--size=16", "--nodes=2", "--pipeline=distributed"],
     # A seeded crash run must complete and exit 0 — recovery, not abort.
     ["--app=sor", "--size=16", "--nodes=2", "--fault-profile=crash", "--seed=3"],
     ["--app=sor", "--size=16", "--nodes=2", "--fault-profile=crash",
      "--fault-crash-node=1", "--fault-crash-epoch=1", "--fault-crash-reboot"],
-    # The tree barrier with batching and interning on a legal fanout; the
+    # The tree barrier with the distributed pipeline on a legal fanout; the
     # default fanout (4) must also pass at 2 nodes (degenerates to a star).
     ["--app=sor", "--size=16", "--nodes=2", "--barrier-tree", "--barrier-fanout=2",
-     "--detect-batch=2", "--intern-bitmaps"],
+     "--pipeline=distributed"],
     ["--app=sor", "--size=16", "--nodes=2", "--barrier-tree"],
 ]
 
@@ -90,20 +95,32 @@ BAD_SERVE_CASES = [
     (["--script=/dev/null", "--retry-budget=-1"], "retry-budget"),
     (["--script=/dev/null", "--retry-budget=1000"], "retry-budget"),
     (["--script=/dev/null", "--frobnicate"], "frobnicate"),
-    (["--script=/dev/null", "--nodes=2", "--detect-shards=9"], "detect-shards"),
-    (["--script=/dev/null", "--nodes=2", "--detect-shards=0"], "detect-shards"),
-    (["--script=/dev/null", "--nodes=2", "--detect-batch=0"], "detect-batch"),
     (["--script=/dev/null", "--nodes=2", "--barrier-tree", "--barrier-fanout=0"],
      "barrier-fanout"),
     (["--script=/dev/null", "--nodes=2", "--barrier-tree", "--barrier-fanout=9"],
      "barrier-fanout"),
+    # Deleted inputs (cvm_serve never took --compress-bitmaps).
+    (["--script=/dev/null", "--pipeline=sharded"], "sharded"),
+    (["--script=/dev/null", "--nodes=2", "--detect-shards=2"], "detect-shards"),
+    (["--script=/dev/null", "--nodes=2", "--detect-batch=2"], "detect-batch"),
+    (["--script=/dev/null", "--intern-bitmaps"], "intern-bitmaps"),
 ]
 
 GOOD_SERVE_CASES = [
     ["--script=/dev/null", "--workers=1", "--nodes=2"],
     ["--script=/dev/null", "--workers=1", "--nodes=2", "--barrier-tree",
-     "--barrier-fanout=2", "--detect-batch=2", "--intern-bitmaps"],
+     "--barrier-fanout=2", "--pipeline=distributed"],
 ]
+
+# chaos_run only ever took the pipeline selector of the deleted inputs.
+BAD_CHAOS_CASES = [
+    (["--apps=sor", "--size=16", "--nodes=2", "--profiles=lossy", "--pipeline=sharded"],
+     "sharded"),
+    (["--apps=sor", "--size=16", "--nodes=2", "--profiles=lossy", "--pipeline=bogus"],
+     "pipeline"),
+]
+
+GOOD_CHAOS_CASES = []
 
 
 def run(binary, argv):
@@ -152,6 +169,9 @@ def main():
     if len(sys.argv) > 2:
         failures += sweep(sys.argv[2], BAD_SERVE_CASES, GOOD_SERVE_CASES)
         checked += len(BAD_SERVE_CASES) + len(GOOD_SERVE_CASES)
+    if len(sys.argv) > 3:
+        failures += sweep(sys.argv[3], BAD_CHAOS_CASES, GOOD_CHAOS_CASES)
+        checked += len(BAD_CHAOS_CASES) + len(GOOD_CHAOS_CASES)
     if failures:
         print(f"{failures} of {checked} CLI validation case(s) failed", file=sys.stderr)
         return 1

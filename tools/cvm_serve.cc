@@ -49,13 +49,9 @@ int Usage() {
       "                       (default 2; docs/FAULTS.md)\n"
       "  --nodes=N            DSM nodes per fabric (default 4)\n"
       "  --protocol=P         lazy | multi | eager (default lazy)\n"
-      "  --pipeline=P         serial | sharded | distributed (default serial)\n"
-      "  --detect-shards=N    check-list build workers, 1 <= N <= nodes\n"
-      "                       (default: auto-sized)\n"
-      "  --detect-batch=N     bitmap/compare rounds once per N epochs (default 1)\n"
+      "  --pipeline=P         serial | distributed (default serial)\n"
       "  --barrier-tree       k-ary combine-tree barrier (default: flat)\n"
       "  --barrier-fanout=K   combine-tree fanout, 1 <= K <= nodes (default 4)\n"
-      "  --intern-bitmaps     ship 'same-as-last-epoch' bitmap tokens\n"
       "  --policy=P           fifo | fair (default fifo)\n"
       "  --queue-cap=N        admission queue capacity (default 64)\n"
       "  --tenant-cap=N       per-tenant concurrent workloads (default 2)\n"
@@ -141,8 +137,7 @@ int main(int argc, char** argv) {
   }
   const std::vector<std::string> accepted = {
       "script", "workers", "nodes", "protocol", "pipeline", "policy",
-      "detect-shards", "detect-batch", "barrier-tree", "barrier-fanout",
-      "intern-bitmaps", "queue-cap", "tenant-cap", "max-tenants", "cold",
+      "barrier-tree", "barrier-fanout", "queue-cap", "tenant-cap", "max-tenants", "cold",
       "retry-budget", "metrics-out", "trace-json", "outcomes-json", "help"};
   for (const std::string& key : flags.UnknownKeys(accepted)) {
     std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
@@ -187,34 +182,14 @@ int main(int argc, char** argv) {
   const std::string pipeline = flags.GetString("pipeline", "serial");
   if (pipeline == "serial") {
     config.pipeline = DetectionPipeline::kSerial;
-  } else if (pipeline == "sharded") {
-    config.pipeline = DetectionPipeline::kSharded;
   } else if (pipeline == "distributed") {
     config.pipeline = DetectionPipeline::kDistributed;
   } else {
     std::fprintf(stderr, "error: unknown pipeline '%s'\n", pipeline.c_str());
     return Usage();
   }
-  // Same detection/barrier knob validation as cvm_run, against the per-fabric
-  // node count every tenant's runs will use.
-  if (flags.Has("detect-shards")) {
-    const int64_t shards = flags.GetInt("detect-shards", 0);
-    if (shards < 1 || shards > config.nodes) {
-      std::fprintf(stderr,
-                   "error: --detect-shards=%lld must be in [1, --nodes=%d] "
-                   "(omit the flag for auto-sizing)\n",
-                   static_cast<long long>(shards), config.nodes);
-      return Usage();
-    }
-    config.detect_shards = static_cast<int>(shards);
-  }
-  const int64_t detect_batch = flags.GetInt("detect-batch", 1);
-  if (detect_batch < 1) {
-    std::fprintf(stderr, "error: --detect-batch=%lld must be at least 1 (1 = unbatched)\n",
-                 static_cast<long long>(detect_batch));
-    return Usage();
-  }
-  config.detect_batch = static_cast<int>(detect_batch);
+  // Same barrier knob validation as cvm_run, against the per-fabric node
+  // count every tenant's runs will use.
   config.barrier_tree = flags.GetBool("barrier-tree", false);
   const int64_t fanout = flags.GetInt("barrier-fanout", 4);
   if (flags.Has("barrier-fanout") && (fanout < 1 || fanout > config.nodes)) {
@@ -223,7 +198,6 @@ int main(int argc, char** argv) {
     return Usage();
   }
   config.barrier_fanout = static_cast<int>(fanout);
-  config.intern_bitmaps = flags.GetBool("intern-bitmaps", false);
   const auto policy = svc::ParsePolicy(flags.GetString("policy", "fifo"));
   if (!policy.has_value()) {
     std::fprintf(stderr, "error: unknown policy '%s' (fifo | fair)\n",

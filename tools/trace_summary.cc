@@ -154,15 +154,15 @@ int SummarizeMetrics(const std::string& path) {
   std::printf("\nbucket columns and the total are summed across nodes; 'Sim ms' is the\n"
               "critical-path simulated time the epoch added.\n");
 
-  // Detection-pipeline table: shard fan-out, bitmap-round bytes (raw vs on
-  // the wire after BitmapCodec), and §6.2 overlap savings. Only printed when
-  // the run recorded the pipeline counters (any pipeline mode emits them).
+  // Detection-pipeline table: check-list entries, bitmap-round bytes (raw vs
+  // on the wire after BitmapCodec) and off-master compares. Only printed when
+  // the run recorded the pipeline counters (both pipelines emit them).
   if (column.count("net.bitmap.bytes_raw") != 0) {
     in.clear();
     in.seekg(0);
     std::getline(in, line);  // Header.
-    TablePrinter pipeline_table({"Epoch", "Shards", "Checks", "Raw B", "Wire B", "Saved B",
-                                 "Overlap ms", "Remote cmp"});
+    TablePrinter pipeline_table(
+        {"Epoch", "Checks", "Raw B", "Wire B", "Saved B", "Remote cmp"});
     bool any_activity = false;
     while (std::getline(in, line)) {
       if (line.empty()) {
@@ -172,38 +172,32 @@ int SummarizeMetrics(const std::string& path) {
       const double raw = cell_value(cells, "net.bitmap.bytes_raw");
       const double wire = cell_value(cells, "net.bitmap.bytes_wire");
       const double saved = cell_value(cells, "net.bitmap.bytes_saved");
-      const double overlap_ns = cell_value(cells, "race.overlap.saved_ns");
       const double remote = cell_value(cells, "race.remote.pairs_compared");
       any_activity = any_activity || raw > 0 || wire > 0 || remote > 0;
       pipeline_table.AddRow(
           {std::to_string(static_cast<long long>(cell_value(cells, "epoch"))),
-           TablePrinter::Fixed(cell_value(cells, "race.shard.count"), 0),
            TablePrinter::Fixed(cell_value(cells, "race.checklist_entries"), 0),
            TablePrinter::Fixed(raw, 0), TablePrinter::Fixed(wire, 0),
-           TablePrinter::Fixed(saved, 0), TablePrinter::Fixed(overlap_ns / 1e6, 3),
-           TablePrinter::Fixed(remote, 0)});
+           TablePrinter::Fixed(saved, 0), TablePrinter::Fixed(remote, 0)});
     }
     if (any_activity) {
       std::printf("\nper-epoch detection pipeline (see docs/DETECTOR.md):\n\n");
       pipeline_table.Print();
       std::printf("\n'Raw B' is what the bitmap round would cost uncompressed; 'Wire B' is\n"
-                  "what it sent; 'Overlap ms' is compare time hidden under the round\n"
-                  "(sharded mode); 'Remote cmp' counts pairs compared on constituents\n"
-                  "(distributed mode).\n");
+                  "what it sent (equal under the serial pipeline); 'Remote cmp' counts\n"
+                  "pairs compared on constituents (distributed pipeline).\n");
     }
   }
 
-  // Scaling table: combine-tree barrier traffic, epoch-batched detection
-  // rounds, and the bitmap interning cache. Printed only for runs that used
-  // at least one of the scaling knobs (--barrier-tree / --detect-batch /
-  // --intern-bitmaps).
+  // Scaling table: combine-tree barrier traffic and the bitmap interning
+  // cache. Printed only for runs that used the tree barrier or the
+  // distributed pipeline (the only interning path).
   if (column.count("net.barrier.tree.up_bytes") != 0) {
     in.clear();
     in.seekg(0);
     std::getline(in, line);  // Header.
-    TablePrinter scaling_table({"Epoch", "Tree up B", "Tree down B", "Fragments",
-                                "Batch rounds", "Batched ep", "Intern hit", "Intern miss",
-                                "Intern inval"});
+    TablePrinter scaling_table({"Epoch", "Tree up B", "Tree down B", "Fragments", "Intern hit",
+                                "Intern miss", "Intern inval"});
     bool any_activity = false;
     while (std::getline(in, line)) {
       if (line.empty()) {
@@ -212,26 +206,22 @@ int SummarizeMetrics(const std::string& path) {
       const std::vector<std::string> cells = SplitCsvLine(line);
       const double up = cell_value(cells, "net.barrier.tree.up_bytes");
       const double down = cell_value(cells, "net.barrier.tree.down_bytes");
-      const double rounds = cell_value(cells, "race.batch.rounds");
       const double hits = cell_value(cells, "race.intern.hits");
       const double misses = cell_value(cells, "race.intern.misses");
-      any_activity = any_activity || up > 0 || down > 0 || rounds > 0 || hits > 0 || misses > 0;
+      any_activity = any_activity || up > 0 || down > 0 || hits > 0 || misses > 0;
       scaling_table.AddRow(
           {std::to_string(static_cast<long long>(cell_value(cells, "epoch"))),
            TablePrinter::Fixed(up, 0), TablePrinter::Fixed(down, 0),
            TablePrinter::Fixed(cell_value(cells, "net.barrier.tree.fragments"), 0),
-           TablePrinter::Fixed(rounds, 0),
-           TablePrinter::Fixed(cell_value(cells, "race.batch.batched_epochs"), 0),
            TablePrinter::Fixed(hits, 0), TablePrinter::Fixed(misses, 0),
            TablePrinter::Fixed(cell_value(cells, "race.intern.invalidations"), 0)});
     }
     if (any_activity) {
       std::printf("\nper-epoch barrier/detection scaling (see docs/ARCHITECTURE.md):\n\n");
       scaling_table.Print();
-      std::printf("\n'Tree up/down B' is combine-tree barrier traffic; 'Batch rounds' are\n"
-                  "detection flushes covering 'Batched ep' queued epochs; the intern\n"
-                  "columns count bitmap-cache hits ('same-as-last-epoch' tokens sent),\n"
-                  "first-send misses, and invalidations after a page was redirtied.\n");
+      std::printf("\n'Tree up/down B' is combine-tree barrier traffic; the intern columns\n"
+                  "count bitmap-cache hits ('same-as-last-epoch' tokens sent), first-send\n"
+                  "misses, and invalidations after a page was redirtied.\n");
     }
   }
   return 0;
