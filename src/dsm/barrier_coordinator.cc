@@ -577,6 +577,44 @@ void BarrierCoordinator::ProbeMissingArrivalsLocked(EpochId epoch) {
   }
 }
 
+Bitmap BarrierCoordinator::TreeInterest(const PageTable& pages, NodeId self, int num_nodes) {
+  // Interested in any page this node ever cached: a usable copy or a
+  // retained stale one (data survives invalidation). Valid copies alone
+  // are not enough — a node holding a momentarily-invalidated copy of a
+  // working-set page still needs write notices to keep its
+  // probable-owner hint fresh, or its next refetch pays extra
+  // forwarding hops. Hints alone are deliberately NOT enough: every
+  // page starts with a home hint, so keying on them would mark the
+  // whole address space interesting and gut the filter. A valid copy
+  // always holds data, so the page table's cached list covers them all.
+  //
+  // Pages this node is HOME for are always interesting, cached or not:
+  // this bitmap is a snapshot taken at barrier arrival, but the service
+  // thread keeps serving page requests from stragglers during the
+  // barrier, and the home is where a never-touched page can be lazily
+  // materialized to serve such a fetch. Under single-writer, granting
+  // ownership away retains a stale-able read copy — one the shipped
+  // snapshot does not cover, so without the home clause its
+  // invalidation gets filtered and the next epoch reads stale data.
+  // Every other mid-barrier state change happens on pages the node
+  // already held data for (fetching requires the app thread, which is
+  // parked in the barrier). Homes are 1/n of the address space per
+  // node, so the clause keeps the down-leg sub-quadratic. The stride
+  // mirrors CoherenceProtocol::HomeOf (page % num_nodes).
+  //
+  // Neither source scans the segment: a 16 MB segment of 512-byte pages
+  // has 32,768 entries, and a scan per node per barrier would dominate a
+  // 64-node tree run's host time.
+  Bitmap interest(static_cast<uint32_t>(pages.num_pages()));
+  for (PageId page : pages.cached_pages()) {
+    interest.Set(static_cast<uint32_t>(page));
+  }
+  for (PageId page = self; page < pages.num_pages(); page += num_nodes) {
+    interest.Set(static_cast<uint32_t>(page));
+  }
+  return interest;
+}
+
 void BarrierCoordinator::TreeRunBarrier(std::unique_lock<std::mutex>& lk, EpochId epoch) {
   const DsmOptions& opts = node_.opts_;
   NodeTiming& timing = node_.timing_;
@@ -621,36 +659,7 @@ void BarrierCoordinator::TreeRunBarrier(std::unique_lock<std::mutex>& lk, EpochI
   // page interest, and the check-list fragments claimed further down.
   VectorClock min_vc = node_.vc_;
   const int num_pages = node_.pages_.num_pages();
-  Bitmap interest(static_cast<uint32_t>(num_pages));
-  for (PageId page = 0; page < num_pages; ++page) {
-    // Interested in any page this node ever cached: a usable copy or a
-    // retained stale one (data survives invalidation). Valid copies alone
-    // are not enough — a node holding a momentarily-invalidated copy of a
-    // working-set page still needs write notices to keep its
-    // probable-owner hint fresh, or its next refetch pays extra
-    // forwarding hops. Hints alone are deliberately NOT enough: every
-    // page starts with a home hint, so keying on them would mark the
-    // whole address space interesting and gut the filter.
-    //
-    // Pages this node is HOME for are always interesting, cached or not:
-    // this bitmap is a snapshot taken at barrier arrival, but the service
-    // thread keeps serving page requests from stragglers during the
-    // barrier, and the home is where a never-touched page can be lazily
-    // materialized to serve such a fetch. Under single-writer, granting
-    // ownership away retains a stale-able read copy — one the shipped
-    // snapshot does not cover, so without the home clause its
-    // invalidation gets filtered and the next epoch reads stale data.
-    // Every other mid-barrier state change happens on pages the node
-    // already held data for (fetching requires the app thread, which is
-    // parked in the barrier). Homes are 1/n of the address space per
-    // node, so the clause keeps the down-leg sub-quadratic. The mapping
-    // mirrors CoherenceProtocol::HomeOf (page % num_nodes).
-    const PageEntry& entry = node_.pages_.entry(page);
-    const bool is_home = (page % node_.opts_.num_nodes) == node_.id_;
-    if (is_home || entry.state != PageState::kInvalid || !entry.data.empty()) {
-      interest.Set(static_cast<uint32_t>(page));
-    }
-  }
+  Bitmap interest = TreeInterest(node_.pages_, node_.id_, opts.num_nodes);
   std::vector<TreeFragmentPair> fragments;
   tree_child_state_.clear();
   for (auto& [child, info] : arrivals) {
@@ -861,7 +870,7 @@ void BarrierCoordinator::SendTreeReleasesLocked(EpochId epoch,
 
 void BarrierCoordinator::OnTreeArrive(const Message& msg) {
   const auto& arrive = std::get<BarrierTreeArriveMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(node_.mu_);
+  std::lock_guard<NodeMutex> guard(node_.mu_);
   if (arrive.epoch < node_.epoch_) {
     return;  // This epoch's combine already ran here: stale re-delivery.
   }
@@ -877,7 +886,7 @@ void BarrierCoordinator::OnTreeArrive(const Message& msg) {
 
 void BarrierCoordinator::OnTreeRelease(const Message& msg) {
   const auto& release = std::get<BarrierTreeReleaseMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(node_.mu_);
+  std::lock_guard<NodeMutex> guard(node_.mu_);
   if (tree_release_.has_value() || release.epoch < node_.epoch_) {
     return;  // This epoch's release already landed: stale re-delivery.
   }
@@ -956,7 +965,7 @@ Bitmap BarrierCoordinator::DecodeInterned(NodeId src, PageId page, bool is_write
 
 void BarrierCoordinator::OnBarrierArrive(const Message& msg) {
   const auto& arrive = std::get<BarrierArriveMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(node_.mu_);
+  std::lock_guard<NodeMutex> guard(node_.mu_);
   CVM_CHECK_EQ(node_.id_, 0);
   if (arrive.epoch < node_.epoch_) {
     return;  // The master already ran this epoch's barrier: stale re-delivery.
@@ -967,7 +976,7 @@ void BarrierCoordinator::OnBarrierArrive(const Message& msg) {
 
 void BarrierCoordinator::OnBarrierRelease(const Message& msg) {
   const auto& release = std::get<BarrierReleaseMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(node_.mu_);
+  std::lock_guard<NodeMutex> guard(node_.mu_);
   if (barrier_release_.has_value() || release.epoch < node_.epoch_) {
     return;  // This epoch's release already landed: stale re-delivery.
   }
@@ -977,7 +986,7 @@ void BarrierCoordinator::OnBarrierRelease(const Message& msg) {
 
 void BarrierCoordinator::OnBitmapRequest(const Message& msg) {
   const auto& request = std::get<BitmapRequestMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(node_.mu_);
+  std::lock_guard<NodeMutex> guard(node_.mu_);
   std::vector<BitmapReplyEntry> entries;
   for (const CheckEntry& entry : request.entries) {
     CVM_CHECK_EQ(entry.interval.node, node_.id_);
@@ -998,7 +1007,7 @@ void BarrierCoordinator::OnBitmapRequest(const Message& msg) {
 
 void BarrierCoordinator::OnBitmapReply(const Message& msg) {
   const auto& reply = std::get<BitmapReplyMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(node_.mu_);
+  std::lock_guard<NodeMutex> guard(node_.mu_);
   for (const BitmapReplyEntry& entry : *reply.entries) {
     collected_bitmaps_.emplace(std::make_pair(entry.interval, entry.page),
                                PageAccessBitmaps{BitmapCodec::Decode(entry.read),
@@ -1014,7 +1023,7 @@ void BarrierCoordinator::OnBitmapReply(const Message& msg) {
 
 void BarrierCoordinator::OnCompareRequest(const Message& msg) {
   const auto& request = std::get<CompareRequestMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(node_.mu_);
+  std::lock_guard<NodeMutex> guard(node_.mu_);
   if (request.epoch < node_.epoch_) {
     return;  // Stale re-delivery of a finished round.
   }
@@ -1061,7 +1070,7 @@ void BarrierCoordinator::OnCompareRequest(const Message& msg) {
 
 void BarrierCoordinator::OnBitmapShip(const Message& msg) {
   const auto& ship = std::get<BitmapShipMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(node_.mu_);
+  std::lock_guard<NodeMutex> guard(node_.mu_);
   if (node_.id_ == 0) {
     // Master side: peers shipping the bitmaps for master-owned pairs.
     if (master_ships_pending_ <= 0 || ship.epoch != node_.epoch_) {
@@ -1149,7 +1158,7 @@ void BarrierCoordinator::TryFinishRemoteCompare(EpochId epoch) {
 
 void BarrierCoordinator::OnCompareReply(const Message& msg) {
   const auto& reply = std::get<CompareReplyMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(node_.mu_);
+  std::lock_guard<NodeMutex> guard(node_.mu_);
   CVM_CHECK_EQ(node_.id_, 0);
   if (compare_replies_pending_ <= 0 || reply.epoch != node_.epoch_) {
     return;  // Stale re-delivery.

@@ -18,6 +18,7 @@
 
 #include "src/common/bitmap.h"
 #include "src/common/types.h"
+#include "src/mem/page_table.h"
 #include "src/net/dispatch.h"
 #include "src/net/message.h"
 #include "src/obs/metrics.h"
@@ -81,6 +82,12 @@ class BarrierCoordinator {
   // This node's sender-side interning accounting (zeros under the serial
   // pipeline; every node that ships bitmaps contributes).
   const InternStats& intern_stats() const { return intern_stats_; }
+
+  // The page interest a node's tree arrival lists (one bit per page): every
+  // page `pages` has ever cached, plus every page homed at `self`. Equal to
+  // a scan of the whole page table for pages that are home, valid, or hold
+  // data, without the scan.
+  static Bitmap TreeInterest(const PageTable& pages, NodeId self, int num_nodes);
 
   // Master-side health check (node mutex held): heartbeat-probes every node
   // that has not arrived for `epoch`. A live node acks and is left alone; a

@@ -185,10 +185,12 @@ RunResult DsmSystem::Run(const std::function<void(NodeContext&)>& app) {
         // Implicit final barrier: the last epoch's accesses get race-checked
         // (the system only discards trace data after checking it).
         node.Barrier();
+        node.ReleaseAppHold();  // Held since the app's first DSM call.
       } catch (const RunAbortError& err) {
         // A node died this run (this one, if err.self_crash). Discard the
         // torn epoch and restore the last consistent cut; whether the
         // workload is retried is the service layer's call, not ours.
+        node.ReleaseAppHold();  // The unwound DSM call left it held.
         node.RecoverAfterAbort(err);
       }
     });

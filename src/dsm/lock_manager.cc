@@ -189,7 +189,7 @@ void LockManager::HandleForwardedRequest(const LockRequestMsg& request) {
 
 void LockManager::OnLockRequest(const Message& msg) {
   const auto& request = std::get<LockRequestMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(node_.mu_);
+  std::lock_guard<NodeMutex> guard(node_.mu_);
   if (node_.opts_.replay_schedule != nullptr) {
     // Replay routing: out-of-schedule grants break the last-requester chain
     // invariant, so requests instead chase the token along successor links
@@ -230,7 +230,7 @@ void LockManager::OnLockRequest(const Message& msg) {
 
 void LockManager::OnLockGrant(const Message& msg) {
   const auto& grant = std::get<LockGrantMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(node_.mu_);
+  std::lock_guard<NodeMutex> guard(node_.mu_);
   if (waiting_lock_ != grant.lock || lock_grant_.has_value()) {
     return;  // Matches no outstanding acquire: stale re-delivery.
   }

@@ -76,7 +76,7 @@ Node::Node(NodeId id, DsmSystem* system)
     event.str_arg_name = "kind_name";
     event.str_arg_value = msg.KindName();
     {
-      std::lock_guard<std::mutex> guard(mu_);
+      std::lock_guard<NodeMutex> guard(mu_);
       event.epoch = epoch_;
       event.sim_ts_ns = timing_.now_ns();
     }
@@ -215,7 +215,7 @@ void Node::ServiceLoop() {
     {
       // Fail-stop: a crashed node answers nothing, not even frames that were
       // already in its inbox when it died.
-      std::lock_guard<std::mutex> guard(mu_);
+      std::lock_guard<NodeMutex> guard(mu_);
       if (crashed_) {
         continue;
       }
@@ -290,7 +290,7 @@ void Node::DispatchWithFlow(const Message& msg) {
       event.arg2_name = "hop";
       event.arg2_value = msg.ctx.hop;
       {
-        std::lock_guard<std::mutex> guard(mu_);
+        std::lock_guard<NodeMutex> guard(mu_);
         event.epoch = epoch_;
         const double arrival = static_cast<double>(msg.ctx.send_sim_ns) +
                                opts_.costs.MessageCost(msg.wire_bytes);
@@ -301,6 +301,41 @@ void Node::DispatchWithFlow(const Message& msg) {
     }
   }
   dispatcher_.Dispatch(msg);
+}
+
+// ---------------- App thread's hold on mu_ ----------------
+
+std::unique_lock<std::mutex>& Node::AppLock() {
+  if (app_lk_.owns_lock()) {
+    CVM_CHECK(std::this_thread::get_id() == app_thread_)
+        << "node " << id_ << "'s API called off its app thread";
+    if (mu_.requested()) {
+      HandOff();
+    }
+    return app_lk_;
+  }
+  CVM_CHECK(app_thread_ == std::thread::id())
+      << "node " << id_ << "'s API called after its app thread's run ended";
+  app_thread_ = std::this_thread::get_id();
+  app_lk_ = std::unique_lock<std::mutex>(mu_.native());
+  return app_lk_;
+}
+
+void Node::HandOff() {
+  app_lk_.unlock();
+  // The requester decrements the count once it holds mu_; yielding (rather
+  // than relocking at once) keeps this thread from winning the mutex back
+  // before the woken requester runs.
+  while (mu_.requested()) {
+    std::this_thread::yield();
+  }
+  app_lk_.lock();
+}
+
+void Node::ReleaseAppHold() {
+  if (app_lk_.owns_lock()) {
+    app_lk_.unlock();
+  }
 }
 
 // ---------------- Cost helpers ----------------
@@ -322,12 +357,12 @@ void Node::ChargeMessageLocked(size_t bytes, size_t read_notice_bytes) {
 // ---------------- Shared accesses ----------------
 
 void Node::Compute(uint64_t units) {
-  std::lock_guard<std::mutex> guard(mu_);
+  AppLock();
   timing_.Charge(Bucket::kNone, opts_.costs.compute_unit_ns * static_cast<double>(units));
 }
 
 void Node::PrivateAccess(uint64_t va, bool is_write) {
-  std::lock_guard<std::mutex> guard(mu_);
+  AppLock();
   timing_.Charge(Bucket::kNone, opts_.costs.base_access_ns);
   if (opts_.race_detection) {
     ChargeInstrumentationLocked();
@@ -336,14 +371,14 @@ void Node::PrivateAccess(uint64_t va, bool is_write) {
 }
 
 uint64_t Node::AllocPrivateVa(uint64_t bytes) {
-  std::lock_guard<std::mutex> guard(mu_);
+  AppLock();
   const uint64_t va = private_va_next_;
   private_va_next_ += (bytes + kWordSize - 1) / kWordSize * kWordSize;
   return va;
 }
 
 uint32_t Node::ReadWord(GlobalAddr addr) {
-  std::unique_lock<std::mutex> lk(mu_);
+  std::unique_lock<std::mutex>& lk = AppLock();
   timing_.Charge(Bucket::kNone, opts_.costs.base_access_ns);
   const AccessFilter::Location at = filter_.Locate(addr);
   if (opts_.race_detection) {
@@ -358,7 +393,7 @@ uint32_t Node::ReadWord(GlobalAddr addr) {
 }
 
 void Node::WriteWord(GlobalAddr addr, uint32_t value) {
-  std::unique_lock<std::mutex> lk(mu_);
+  std::unique_lock<std::mutex>& lk = AppLock();
   timing_.Charge(Bucket::kNone, opts_.costs.base_access_ns);
   const AccessFilter::Location at = filter_.Locate(addr);
   // §6.5: under diff-derived write detection, store instructions are not
@@ -499,7 +534,7 @@ void Node::GarbageCollectLocked() {
 void Node::Lock(LockId lock) {
   CVM_CHECK_GE(lock, 0);
   CVM_CHECK_LT(lock, opts_.num_locks);
-  std::unique_lock<std::mutex> lk(mu_);
+  std::unique_lock<std::mutex>& lk = AppLock();
   ThrowIfAbortedLocked();
   obs::Span span(tracer_, id_, "lock.acquire", "sync", timing_, epoch_);
   span.SetArg("lock", static_cast<uint64_t>(lock));
@@ -517,7 +552,7 @@ void Node::Lock(LockId lock) {
 void Node::Unlock(LockId lock) {
   CVM_CHECK_GE(lock, 0);
   CVM_CHECK_LT(lock, opts_.num_locks);
-  std::unique_lock<std::mutex> lk(mu_);
+  std::unique_lock<std::mutex>& lk = AppLock();
   ThrowIfAbortedLocked();
   TraceInstant("lock.release", "sync", "lock", static_cast<uint64_t>(lock));
   timing_.Charge(Bucket::kNone, opts_.costs.lock_op_ns);
@@ -530,7 +565,7 @@ void Node::Unlock(LockId lock) {
 // ---------------- Barriers ----------------
 
 void Node::Barrier() {
-  std::unique_lock<std::mutex> lk(mu_);
+  std::unique_lock<std::mutex>& lk = AppLock();
   ThrowIfAbortedLocked();
   MaybeCrashAtBarrierLocked();
   obs::Span span(tracer_, id_, "barrier", "sync", timing_, epoch_);
@@ -628,7 +663,7 @@ void Node::InitiateAbortLocked(NodeId dead, EpochId epoch) {
 
 void Node::OnHeartbeatProbe(const Message& msg) {
   const auto& probe = std::get<HeartbeatProbeMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(mu_);
+  std::lock_guard<NodeMutex> guard(mu_);
   if (crashed_) {
     return;
   }
@@ -636,14 +671,14 @@ void Node::OnHeartbeatProbe(const Message& msg) {
 }
 
 void Node::OnHeartbeatAck(const Message&) {
-  std::lock_guard<std::mutex> guard(mu_);
+  std::lock_guard<NodeMutex> guard(mu_);
   ++heartbeat_acks_;  // The peer is alive: parked waiters re-check and keep waiting.
   cv_.notify_all();
 }
 
 void Node::OnPeerSuspect(const Message& msg) {
   const auto& suspect = std::get<PeerSuspectMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(mu_);
+  std::lock_guard<NodeMutex> guard(mu_);
   if (crashed_ || aborted_) {
     return;
   }
@@ -659,7 +694,7 @@ void Node::OnPeerSuspect(const Message& msg) {
 
 void Node::OnRunAbort(const Message& msg) {
   const auto& abort = std::get<RunAbortMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(mu_);
+  std::lock_guard<NodeMutex> guard(mu_);
   if (aborted_ || crashed_) {
     return;
   }
@@ -728,7 +763,7 @@ size_t Node::RollbackToCheckpointLocked() {
 }
 
 void Node::RecoverAfterAbort(const RunAbortError& err) {
-  std::lock_guard<std::mutex> guard(mu_);
+  std::lock_guard<NodeMutex> guard(mu_);
   if (!aborted_) {
     aborted_ = true;
     abort_dead_ = err.dead;
@@ -747,7 +782,7 @@ void Node::RecoverAfterAbort(const RunAbortError& err) {
 }
 
 void Node::DumpTraceBitmaps(PostMortemTrace& trace) const {
-  std::lock_guard<std::mutex> guard(mu_);
+  std::lock_guard<NodeMutex> guard(mu_);
   bitmaps_.ForEachPair(id_, [&trace](const IntervalId& interval, PageId page,
                                      const PageAccessBitmaps& pair) {
     trace.AddBitmaps(interval, page, pair);

@@ -20,10 +20,21 @@
 //   BarrierCoordinator (src/dsm/)      — barrier arrival/release plus the
 //     serial/distributed race-detection pipeline.
 //
-// All node state is guarded by mu_; blocking operations park the app thread
-// on cv_ while the service thread fills the corresponding reply slot.
-// Service handlers never block on the network, which makes the node graph
-// deadlock-free by construction.
+// Lock discipline. All node state is guarded by mu_, a NodeMutex
+// (src/common/node_mutex.h). The app thread takes it at its first DSM call
+// and holds it across app code until its run ends (DsmSystem::Run releases
+// it after the final barrier, or before rollback on an aborted run); it is
+// not locked and unlocked per access. The app thread lets go of it in two
+// places only: while it blocks on cv_ (page fetches, lock grants, barriers,
+// flush rounds), and at its next DSM call when another thread has asked for
+// it — every other thread locks mu_ through NodeMutex::lock(), which counts
+// the request, and each entry point polls that count and hands the mutex
+// over. Service handlers therefore run while the app thread is blocked or
+// between two of its DSM calls, never in the middle of one. Service
+// handlers never block on the network, which makes the node graph
+// deadlock-free by construction; app code must not wait on another node by
+// host-level means without making DSM calls, or that node's requests to this
+// one are never served.
 #ifndef CVM_DSM_NODE_H_
 #define CVM_DSM_NODE_H_
 
@@ -39,6 +50,7 @@
 #include <vector>
 
 #include "src/common/abort.h"
+#include "src/common/node_mutex.h"
 #include "src/common/types.h"
 #include "src/dsm/barrier_coordinator.h"
 #include "src/dsm/lock_manager.h"
@@ -138,7 +150,9 @@ class Node : public ProtocolHost {
   // Meaningful on node 0 only (the barrier master runs the pipeline).
   const PipelineStats& pipeline_stats() const { return barrier_.pipeline_stats(); }
 
-  // Layer access for tests and tooling.
+  // Layer access for tests and tooling. The page table may be read from
+  // this node's app thread after its first DSM call (it holds mu_ then).
+  const PageTable& page_table() const { return pages_; }
   const CoherenceProtocol& protocol() const { return *protocol_; }
   const MessageDispatcher& dispatcher() const { return dispatcher_; }
   const BarrierCoordinator& barrier_coordinator() const { return barrier_; }
@@ -177,7 +191,7 @@ class Node : public ProtocolHost {
   void RecoverAfterAbort(const RunAbortError& err);
 
   bool crashed() const {
-    std::lock_guard<std::mutex> guard(mu_);
+    std::lock_guard<NodeMutex> guard(mu_);
     return crashed_;
   }
 
@@ -191,7 +205,7 @@ class Node : public ProtocolHost {
   uint64_t page_size() const override { return opts_.page_size; }
   const CostParams& costs() const override { return opts_.costs; }
   WriteDetection write_detection() const override { return opts_.write_detection; }
-  std::mutex& mu() override { return mu_; }
+  NodeMutex& mu() override { return mu_; }
   std::condition_variable& cv() override { return cv_; }
   PageTable& pages() override { return pages_; }
   BitmapStore& bitmaps() override { return bitmaps_; }
@@ -213,6 +227,16 @@ class Node : public ProtocolHost {
   void CountPageFetch() override;
   void TraceInstant(const char* name, const char* cat, const char* arg_name = nullptr,
                     uint64_t arg_value = 0) override;
+
+  // ---- App thread's hold on mu_ (see "Lock discipline" above) ----
+  // Entry of every application API call. The first call of the run takes
+  // the hold and records the calling thread as the app thread; later calls
+  // check they come from it and hand mu_ to any thread that asked for it.
+  std::unique_lock<std::mutex>& AppLock();
+  // Lets a requesting thread take mu_, then takes it back.
+  void HandOff();
+  // DsmSystem::Run: drops the hold once the app thread's run is over.
+  void ReleaseAppHold();
 
   // ---- Service thread ----
   void ServiceLoop();
@@ -283,8 +307,11 @@ class Node : public ProtocolHost {
 
   std::thread service_thread_;
 
-  mutable std::mutex mu_;
+  mutable NodeMutex mu_;
   std::condition_variable cv_;
+  // The app thread's hold on mu_.native(), and that thread's id.
+  std::unique_lock<std::mutex> app_lk_;
+  std::thread::id app_thread_;
 
   // Memory.
   PageTable pages_;

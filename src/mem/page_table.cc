@@ -58,6 +58,9 @@ void PageTable::AttachObservability(obs::Tracer* tracer, NodeId node, obs::Count
 void PageTable::Install(PageId page, std::vector<uint8_t> data, PageState state) {
   CVM_CHECK_EQ(data.size(), page_size_);
   PageEntry& e = entry(page);
+  if (e.data.empty()) {
+    cached_.push_back(page);
+  }
   e.data = std::move(data);
   e.state = state;
   if constexpr (obs::kObsCompiledIn) {

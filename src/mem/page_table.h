@@ -67,6 +67,12 @@ class PageTable {
   // Installs fetched contents and sets the state.
   void Install(PageId page, std::vector<uint8_t> data, PageState state);
 
+  // Every page this table has ever held data for, in first-install order.
+  // Data is never dropped (invalidation keeps the stale copy), so the list
+  // only grows, and a page is in it exactly when its entry's data is
+  // non-empty.
+  const std::vector<PageId>& cached_pages() const { return cached_; }
+
   // Invalidate per an incoming write notice. Keeps the (stale) data so tests
   // can observe weak-memory staleness, but faults will refetch.
   void Invalidate(PageId page);
@@ -88,6 +94,7 @@ class PageTable {
 
   uint64_t page_size_;
   std::vector<PageEntry> entries_;
+  std::vector<PageId> cached_;
 
   obs::Tracer* tracer_ = nullptr;
   NodeId obs_node_ = 0;

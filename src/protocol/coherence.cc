@@ -93,7 +93,7 @@ bool CoherenceProtocol::FetchPage(Lk& lk, PageId page, bool want_write,
 
 void CoherenceProtocol::OnPageReply(const Message& msg) {
   const auto& reply = std::get<PageReplyMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(host_.mu());
+  std::lock_guard<NodeMutex> guard(host_.mu());
   if (reply.page != page_fetch_pending_ || page_reply_.has_value()) {
     return;  // Matches no outstanding fetch: stale re-delivery.
   }

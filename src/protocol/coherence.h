@@ -8,11 +8,13 @@
 // touch.
 //
 // Threading contract: everything here runs under the host's mutex. Methods
-// taking a `Lk&` may block on the host's condition variable (page fetches,
+// taking a `Lk&` run on the app thread, which holds the mutex through that
+// lock, and may block on the host's condition variable (page fetches,
 // flush/ack rounds); all others must not block. Message handlers (registered
 // via RegisterHandlers) run on the node's service thread and acquire the
-// host mutex themselves; they never block on the network — the property
-// that keeps the node graph deadlock-free.
+// host mutex themselves through NodeMutex::lock(), which asks the app thread
+// to hand it over at its next DSM call; they never block on the network —
+// the property that keeps the node graph deadlock-free.
 #ifndef CVM_PROTOCOL_COHERENCE_H_
 #define CVM_PROTOCOL_COHERENCE_H_
 
@@ -23,6 +25,7 @@
 #include <set>
 #include <vector>
 
+#include "src/common/node_mutex.h"
 #include "src/common/types.h"
 #include "src/mem/diff.h"
 #include "src/mem/page_table.h"
@@ -52,7 +55,7 @@ class ProtocolHost {
   // Node-wide lock and its condition variable. Blocking protocol operations
   // (fetches, flush rounds) park on the cv; handlers filling reply slots
   // notify it.
-  virtual std::mutex& mu() = 0;
+  virtual NodeMutex& mu() = 0;
   virtual std::condition_variable& cv() = 0;
 
   virtual PageTable& pages() = 0;

@@ -61,7 +61,7 @@ void EagerRcInvalidate::OnGarbageCollect(const VectorClock& vc) {
 
 void EagerRcInvalidate::OnErcUpdate(const Message& msg) {
   const auto& update = std::get<ErcUpdateMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(host_.mu());
+  std::lock_guard<NodeMutex> guard(host_.mu());
   if (!host_.log().Contains(update.record.id)) {
     host_.log().Insert(std::make_shared<const IntervalRecord>(update.record));
     if (update.record.id.node != host_.self()) {
@@ -77,7 +77,7 @@ void EagerRcInvalidate::OnErcUpdate(const Message& msg) {
 
 void EagerRcInvalidate::OnErcAck(const Message& msg) {
   const auto& ack = std::get<ErcAckMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(host_.mu());
+  std::lock_guard<NodeMutex> guard(host_.mu());
   if (tokens_outstanding_.erase(ack.token) == 0) {
     return;  // Stale re-delivery; already consumed.
   }

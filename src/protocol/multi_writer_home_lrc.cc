@@ -117,7 +117,7 @@ void MultiWriterHomeLrc::ApplyWriteNotices(const IntervalRecord& record) {
 
 void MultiWriterHomeLrc::OnPageRequest(const Message& msg) {
   const auto request = std::get<PageRequestMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(host_.mu());
+  std::lock_guard<NodeMutex> guard(host_.mu());
   CVM_CHECK_EQ(HomeOf(request.page), host_.self());
   MaterializeHome(request.page);
   PageReplyMsg reply;
@@ -128,7 +128,7 @@ void MultiWriterHomeLrc::OnPageRequest(const Message& msg) {
 
 void MultiWriterHomeLrc::OnDiffFlush(const Message& msg) {
   const auto& flush = std::get<DiffFlushMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(host_.mu());
+  std::lock_guard<NodeMutex> guard(host_.mu());
   if constexpr (obs::kObsCompiledIn) {
     uint64_t words = 0;
     for (const Diff& diff : flush.diffs) {
@@ -166,7 +166,7 @@ void MultiWriterHomeLrc::OnDiffFlush(const Message& msg) {
 
 void MultiWriterHomeLrc::OnDiffFlushAck(const Message& msg) {
   const auto& ack = std::get<DiffFlushAckMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(host_.mu());
+  std::lock_guard<NodeMutex> guard(host_.mu());
   // An ack whose token is no longer outstanding is a stale re-delivery;
   // consuming it twice would release a later flush wait early.
   if (flush_tokens_outstanding_.erase(ack.token) == 0) {

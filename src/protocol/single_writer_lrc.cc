@@ -137,7 +137,7 @@ void SingleWriterLrc::DrainPendingServes(PageId page) {
 
 void SingleWriterLrc::OnPageRequest(const Message& msg) {
   const auto request = std::get<PageRequestMsg>(msg.payload);
-  std::lock_guard<std::mutex> guard(host_.mu());
+  std::lock_guard<NodeMutex> guard(host_.mu());
   // The home is the manager and serializes transfers.
   if (!request.forwarded) {
     CVM_CHECK_EQ(HomeOf(request.page), host_.self());

@@ -10,7 +10,9 @@
 // traffic looks on the wire.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/dsm/dsm.h"
@@ -150,6 +152,89 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, TreeBarrierEquivalenceTest,
                          ::testing::Values(ProtocolKind::kSingleWriterLrc,
                                            ProtocolKind::kMultiWriterHomeLrc,
                                            ProtocolKind::kEagerRcInvalidate));
+
+// The interest set a tree arrival lists is built from the page table's
+// cached-page list and the node's home stride. It must equal the full scan
+// it replaced — every page that is home, valid, or holds data — at every
+// barrier, under every protocol, for a deep tree (fanout 2) and a one-level
+// one (fanout n-1).
+Bitmap FullScanInterest(const PageTable& pages, NodeId self, int num_nodes) {
+  Bitmap interest(static_cast<uint32_t>(pages.num_pages()));
+  for (PageId page = 0; page < pages.num_pages(); ++page) {
+    const PageEntry& entry = pages.entry(page);
+    if (page % num_nodes == self || entry.state != PageState::kInvalid ||
+        !entry.data.empty()) {
+      interest.Set(static_cast<uint32_t>(page));
+    }
+  }
+  return interest;
+}
+
+class TreeInterestTest
+    : public ::testing::TestWithParam<std::tuple<ProtocolKind, int /*fanout*/>> {};
+
+TEST_P(TreeInterestTest, CachedListPlusHomesEqualsFullScan) {
+  constexpr int kNodes = 8;
+  constexpr int kEpochs = 6;
+  constexpr size_t kPages = 40;
+  const auto [protocol, fanout_param] = GetParam();
+  const int fanout = fanout_param == 0 ? kNodes - 1 : fanout_param;
+  DsmOptions options = BaseOptions(kNodes, protocol);
+  options.barrier_tree = true;
+  options.barrier_fanout = fanout;
+  DsmSystem system(options);
+  auto data = SharedArray<int32_t>::Alloc(system, "data", kPages * kWordsPerPage);
+  std::atomic<int> checks{0};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> beyond_homes{0};  // Checks whose set held a non-home page.
+  auto check = [&](NodeContext& ctx) {
+    const PageTable& pages = ctx.page_table();
+    const std::vector<uint32_t> fast =
+        BarrierCoordinator::TreeInterest(pages, ctx.id(), kNodes).SetBits();
+    const std::vector<uint32_t> full = FullScanInterest(pages, ctx.id(), kNodes).SetBits();
+    ++checks;
+    if (fast != full) {
+      ++mismatches;
+    }
+    const size_t homes = (static_cast<size_t>(pages.num_pages()) + kNodes - 1 - ctx.id()) / kNodes;
+    if (fast.size() > homes) {
+      ++beyond_homes;
+    }
+  };
+  system.Run([&](NodeContext& ctx) {
+    const int id = ctx.id();
+    for (int epoch = 0; epoch < kEpochs; ++epoch) {
+      // Writes and reads that move pages between nodes every epoch, plus a
+      // lock-protected counter page that travels with the lock.
+      const size_t written = static_cast<size_t>(id * 5 + epoch) % kPages;
+      const size_t read = static_cast<size_t>(id * 7 + 3 * epoch + 1) % kPages;
+      data.Set(ctx, written * kWordsPerPage + static_cast<size_t>(id), epoch);
+      (void)data.Get(ctx, read * kWordsPerPage + 8);
+      ctx.Lock(id % 3);
+      const size_t counter = (kPages - 1 - static_cast<size_t>(id % 3)) * kWordsPerPage;
+      data.Set(ctx, counter, data.Get(ctx, counter) + 1);
+      ctx.Unlock(id % 3);
+      check(ctx);
+      ctx.Barrier();
+    }
+    check(ctx);
+  });
+  EXPECT_EQ(checks.load(), kNodes * (kEpochs + 1));
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(beyond_homes.load(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllProtocolsBothShapes, TreeInterestTest,
+    ::testing::Combine(::testing::Values(ProtocolKind::kSingleWriterLrc,
+                                         ProtocolKind::kMultiWriterHomeLrc,
+                                         ProtocolKind::kEagerRcInvalidate),
+                       ::testing::Values(2, 0 /* n-1: a one-level tree */)),
+    [](const ::testing::TestParamInfo<std::tuple<ProtocolKind, int>>& param_info) {
+      const int fanout = std::get<1>(param_info.param);
+      return std::string(ProtocolKindName(std::get<0>(param_info.param))) +
+             (fanout == 0 ? "_OneLevel" : "_Fanout" + std::to_string(fanout));
+    });
 
 // A deeper tree at a bigger cluster: 64 nodes, fanout 4 gives three interior
 // levels, exercising multi-hop fragment claiming and interest-filtered
