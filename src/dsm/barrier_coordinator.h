@@ -89,13 +89,6 @@ class BarrierCoordinator {
   // data, without the scan.
   static Bitmap TreeInterest(const PageTable& pages, NodeId self, int num_nodes);
 
-  // Master-side health check (node mutex held): heartbeat-probes every node
-  // that has not arrived for `epoch`. A live node acks and is left alone; a
-  // dead one surfaces kPeerUnreachable at this sender, which initiates the
-  // run abort. Called from the master's own watchful barrier wait and from
-  // the PeerSuspect handler when a stuck worker asks for a health check.
-  void ProbeMissingArrivalsLocked(EpochId epoch);
-
  private:
   void MasterRunBarrier(std::unique_lock<std::mutex>& lk, EpochId epoch);
   void RunRaceDetection(std::unique_lock<std::mutex>& lk, EpochId epoch,
@@ -228,8 +221,6 @@ class BarrierCoordinator {
   std::map<EpochId, RemoteCompareState> remote_compare_;
 
   PipelineStats pipeline_stats_;  // Node 0 only.
-
-  uint64_t probe_token_ = 0;  // Distinguishes heartbeat probes in traces.
 
   // Detection metric handles (null when metrics are disabled; the whole
   // block is dead code under -DCVM_OBS=OFF).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <limits>
 
 #include "src/common/check.h"
 
@@ -127,20 +128,8 @@ void DsmSystem::AddWatchHit(WatchHit hit) {
   watch_hits_.push_back(std::move(hit));
 }
 
-size_t DsmSystem::ReportCount() {
-  std::lock_guard<std::mutex> guard(results_mu_);
-  return reports_.size();
-}
-
-void DsmSystem::TruncateReports(size_t count) {
-  std::lock_guard<std::mutex> guard(results_mu_);
-  if (reports_.size() > count) {
-    reports_.resize(count);
-  }
-}
-
-void DsmSystem::NoteCrash(const RunAbortError& err, EpochId checkpoint_epoch,
-                          size_t locks_recovered, uint64_t checkpoint_bytes) {
+void DsmSystem::NoteCrash(const RunAbortError& err, size_t locks_recovered,
+                          uint64_t checkpoint_bytes) {
   std::lock_guard<std::mutex> guard(results_mu_);
   crash_outcome_.crashed = true;
   // The crashing node reports its own death authoritatively; survivors only
@@ -148,13 +137,6 @@ void DsmSystem::NoteCrash(const RunAbortError& err, EpochId checkpoint_epoch,
   if (err.self_crash || crash_outcome_.crash_node == kNoNode) {
     crash_outcome_.crash_node = err.dead;
     crash_outcome_.crash_epoch = err.epoch;
-  }
-  // checkpoint_epoch is the epoch the restored cut begins; everything before
-  // it has been fully race-checked. All nodes report the same value (no
-  // barrier can complete once a member is dead) — min() is defensive.
-  const EpochId consistent = checkpoint_epoch - 1;
-  if (crash_outcome_.rollbacks == 0 || consistent < crash_outcome_.last_consistent_epoch) {
-    crash_outcome_.last_consistent_epoch = consistent;
   }
   ++crash_outcome_.rollbacks;
   crash_outcome_.locks_recovered += locks_recovered;
@@ -217,6 +199,21 @@ RunResult DsmSystem::Run(const std::function<void(NodeContext&)>& app) {
   RunResult result;
   {
     std::lock_guard<std::mutex> guard(results_mu_);
+    if (crash_outcome_.crashed) {
+      // The consistent cut, decided once every node has rolled back: the
+      // last barrier all of them completed. A node's checkpoint is taken
+      // right after its last completed barrier; without one (no crash plan
+      // armed) nothing is vouched for. Survivors need not agree: a tree
+      // barrier's forwarded release can lose to a direct RunAbort, so one
+      // node may stop a barrier short of another. Reports detected past the
+      // cut are dropped, so the result never holds more than it vouches for.
+      EpochId cut = std::numeric_limits<EpochId>::max();
+      for (const auto& node : nodes_) {
+        cut = std::min(cut, node->checkpoint_.has_value() ? node->checkpoint_->epoch - 1 : -1);
+      }
+      crash_outcome_.last_consistent_epoch = cut;
+      std::erase_if(reports_, [cut](const RaceReport& report) { return report.epoch > cut; });
+    }
     // Deduplicate identical (kind, word, pair) reports; the same race can be
     // observed from several overlapping check-list entries.
     for (const RaceReport& report : reports_) {

@@ -38,8 +38,9 @@ struct CrashOutcome {
                                        // send exhausted its attempt budget).
   NodeId crash_node = kNoNode;         // The node declared dead.
   EpochId crash_epoch = -1;            // Epoch the death was observed in.
-  EpochId last_consistent_epoch = -1;  // Last fully race-checked barrier epoch;
-                                       // reports are truncated to this prefix.
+  EpochId last_consistent_epoch = -1;  // Last barrier epoch every node
+                                       // completed (min over nodes); reports
+                                       // are filtered to this prefix.
   size_t rollbacks = 0;                // Nodes that restored a checkpoint.
   size_t locks_recovered = 0;          // Lock slots diverged from the cut.
   uint64_t checkpoint_bytes = 0;       // Largest per-node encoded-bitmap cut.
@@ -120,9 +121,9 @@ class DsmSystem {
   const fault::FaultInjector* fault_injector() const { return injector_.get(); }
 
   // True when the active fault plan schedules a node crash. Nodes capture
-  // per-barrier checkpoints and use watchful (timeout + heartbeat) barrier
-  // waits only in this mode, so healthy runs pay nothing for crash
-  // tolerance and stay wire-identical to pre-crash-support builds.
+  // per-barrier checkpoints and make every blocking wait watchful (timeout
+  // + heartbeat probes) only in this mode, so healthy runs pay nothing for
+  // crash tolerance and stay wire-identical to pre-crash-support builds.
   bool crash_armed() const {
     return injector_ != nullptr && injector_->plan().crash_enabled();
   }
@@ -159,14 +160,12 @@ class DsmSystem {
   void AddWatchHit(WatchHit hit);
   SyncSchedule& recorded_schedule() { return recorded_schedule_; }
 
-  // Crash recovery (called by nodes; see docs/FAULTS.md). ReportCount /
-  // TruncateReports let the master checkpoint and retract the published
-  // report prefix; NoteCrash folds one node's rollback into the run's
-  // CrashOutcome.
-  size_t ReportCount();
-  void TruncateReports(size_t count);
-  void NoteCrash(const RunAbortError& err, EpochId checkpoint_epoch, size_t locks_recovered,
-                 uint64_t checkpoint_bytes);
+  // Crash recovery (called by each node after its rollback; see
+  // docs/FAULTS.md): records who died in which epoch, counts the rollback
+  // and the locks it recovered, and keeps the largest checkpoint. The
+  // consistent cut is not decided here but by Run(), once every node has
+  // rolled back.
+  void NoteCrash(const RunAbortError& err, size_t locks_recovered, uint64_t checkpoint_bytes);
 
  private:
   // (Re)creates the injector for `plan` — deriving unset timings from the

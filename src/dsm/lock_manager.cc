@@ -117,10 +117,8 @@ void LockManager::Acquire(std::unique_lock<std::mutex>& lk, LockId lock) {
   request.requester_vc = node_.vc_;
   node_.ChargeMessageLocked(PayloadByteSize(Payload(request)), 0);
   node_.Send(ManagerOf(lock), request);
-  node_.cv_.wait(lk, [this] {
-    return lock_granted_self_ || lock_grant_.has_value() || node_.aborted_;
-  });
-  node_.ThrowIfAbortedLocked();
+  node_.WaitFor(lk, "LockGrant",
+                [this] { return lock_granted_self_ || lock_grant_.has_value(); });
   waiting_lock_ = -1;
   if (lock_grant_.has_value()) {
     Received<LockGrantMsg> received = std::move(*lock_grant_);

@@ -89,7 +89,6 @@ struct SizeVisitor {
   size_t operator()(const ErcAckMsg&) const { return 8; }
   size_t operator()(const HeartbeatProbeMsg&) const { return 12; }
   size_t operator()(const HeartbeatAckMsg&) const { return 12; }
-  size_t operator()(const PeerSuspectMsg&) const { return 8; }
   size_t operator()(const RunAbortMsg&) const { return 8; }
   size_t operator()(const ShutdownMsg&) const { return 0; }
   size_t operator()(const BarrierTreeArriveMsg& m) const {
@@ -147,8 +146,8 @@ constexpr const char* kPayloadKindNames[kNumPayloadKinds] = {
     "LockRequest", "LockGrant",      "BarrierArrive", "BitmapRequest",
     "BitmapReply", "CompareRequest", "BitmapShip", "CompareReply",
     "BarrierRelease", "ErcUpdate",   "ErcAck",     "HeartbeatProbe",
-    "HeartbeatAck", "PeerSuspect",   "RunAbort",   "BarrierTreeArrive",
-    "BarrierTreeRelease", "Shutdown",
+    "HeartbeatAck", "RunAbort",      "BarrierTreeArrive", "BarrierTreeRelease",
+    "Shutdown",
 };
 
 }  // namespace

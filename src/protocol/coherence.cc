@@ -71,8 +71,7 @@ bool CoherenceProtocol::FetchPage(Lk& lk, PageId page, bool want_write,
   // the data; the single-writer home is the manager that serializes
   // ownership transfers (two hops worst case).
   host_.Send(HomeOf(page), request);
-  host_.cv().wait(lk, [this] { return page_reply_.has_value() || host_.run_aborted(); });
-  host_.ThrowIfAborted();
+  host_.Wait(lk, "PageReply", [this] { return page_reply_.has_value(); });
   PageReplyMsg reply = std::move(*page_reply_);
   page_reply_.reset();
   page_fetch_pending_ = -1;

@@ -37,8 +37,7 @@ void EagerRcInvalidate::OnIntervalPublished(Lk& lk, const IntervalRecord& record
   }
   // One ack round-trip of latency (pushes proceed in parallel).
   host_.timing().Charge(Bucket::kNone, host_.costs().MessageCost(kMessageHeaderBytes + 8));
-  host_.cv().wait(lk, [this] { return tokens_outstanding_.empty() || host_.run_aborted(); });
-  host_.ThrowIfAborted();
+  host_.Wait(lk, "ErcAck", [this] { return tokens_outstanding_.empty(); });
 }
 
 void EagerRcInvalidate::OnDuplicateRecord(const IntervalRecord& record) {

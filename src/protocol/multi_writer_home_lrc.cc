@@ -97,9 +97,7 @@ void MultiWriterHomeLrc::FlushDiffs(Lk& lk) {
   if (any_flush) {
     // One ack round-trip of latency (flushes proceed in parallel).
     host_.timing().Charge(Bucket::kNone, host_.costs().MessageCost(kMessageHeaderBytes + 8));
-    host_.cv().wait(lk,
-                    [this] { return flush_tokens_outstanding_.empty() || host_.run_aborted(); });
-    host_.ThrowIfAborted();
+    host_.Wait(lk, "DiffFlushAck", [this] { return flush_tokens_outstanding_.empty(); });
   }
 }
 
