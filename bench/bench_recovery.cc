@@ -1,16 +1,19 @@
-// Crash-recovery bench (docs/FAULTS.md "Crash faults & recovery",
-// docs/SERVICE.md): what does surviving node crashes cost the always-on
-// service? Plays the same multi-tenant mix through a warm DsmService twice —
-// clean (no faults) and crash_reboot (every workload's run crashes a
-// seed-chosen node at barrier epoch 1 and reboots on retry) — and reports
-// throughput, completion latency, retries, and fabric rebuilds per mode.
-// Every workload must complete verified in both modes: the crash mode pays
-// for the torn first attempt, the quarantine rebuild, and the backoff, but
-// never loses work.
+// Crash-recovery bench (docs/FAULTS.md "Crash faults & recovery"): what does
+// surviving a node crash cost, and does recovery keep the reports honest?
+// For every workload in a small app mix it runs three fresh DsmSystems:
+//   clean   no faults;
+//   crash   a seed-chosen node fail-stops at barrier epoch 1;
+//   reboot  the same seed with the crash disarmed (the node came back).
+// It asserts two identities per workload: the crashed run's reports equal
+// the clean reports up to its last consistent epoch, and the reboot's
+// reports equal the clean reports. The clean mode's wall time is the clean
+// run; the crash_reboot mode's is the crash run plus the reboot, i.e. what
+// a verified result costs when the first attempt dies.
 //
 // Writes BENCH_recovery.json (validated by tools/check_bench_json.py, which
-// asserts every crash-mode workload was retried and that recovery costs
-// strictly more wall time than the clean run) and prints a table.
+// requires both identities and that recovery costs strictly more wall time
+// than the clean run), prints a table, and exits 1 if an identity fails or a
+// final run does not verify.
 //
 // Usage: bench_recovery [--smoke]
 //   --smoke   smaller inputs and fewer repetitions for CI
@@ -19,152 +22,97 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "src/apps/app_catalog.h"
 #include "src/common/table.h"
+#include "src/dsm/dsm.h"
 #include "src/fault/fault.h"
-#include "src/obs/metrics.h"
-#include "src/svc/service.h"
+#include "src/race/race_report.h"
 
 namespace {
 
 using namespace cvm;
 
-constexpr int kWorkers = 1;  // Serialized: latencies compare recovery cost, not host load.
 constexpr int kNodes = 4;
 
 struct ModeResult {
   std::string mode;  // "clean" | "crash_reboot"
   uint64_t requests = 0;
-  uint64_t completed = 0;
-  uint64_t retried = 0;
-  uint64_t failed = 0;
-  uint64_t fabric_rebuilds = 0;
+  uint64_t completed = 0;  // Workloads whose final run verified.
   double total_wall_s = 0;
-  double p50_s = 0;
-  double mean_s = 0;
+  std::vector<double> latencies;  // Per workload: wall time to a verified result.
+
+  void Add(bool verified, double wall_s) {
+    ++requests;
+    completed += verified ? 1 : 0;
+    total_wall_s += wall_s;
+    latencies.push_back(wall_s);
+  }
+  double p50_s() const {
+    std::vector<double> sorted = latencies;
+    std::sort(sorted.begin(), sorted.end());
+    return sorted.empty() ? 0.0 : sorted[(sorted.size() - 1) / 2];
+  }
+  double mean_s() const {
+    return requests == 0 ? 0.0 : total_wall_s / static_cast<double>(requests);
+  }
+  double per_sec() const {
+    return total_wall_s > 0 ? static_cast<double>(completed) / total_wall_s : 0.0;
+  }
 };
 
-double Percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) {
-    return 0;
+struct Run {
+  bool verified = false;
+  std::string summary;  // Per-variable race summary, occurrence counts included.
+  std::vector<RaceReport> races;
+  CrashOutcome recovery;
+  double wall_s = 0;
+};
+
+std::string Summary(const std::vector<RaceReport>& races) {
+  std::string text;
+  for (const RaceSummaryLine& line : SummarizeRaces(races)) {
+    text += line.symbol + ":" + std::to_string(line.write_write) + ":" +
+            std::to_string(line.read_write) + ":" + std::to_string(line.first_epoch) + "\n";
   }
-  const size_t index = static_cast<size_t>(p * static_cast<double>(sorted.size() - 1));
-  return sorted[index];
+  return text;
 }
 
-ModeResult RunMode(bool crash, int reps, bool smoke) {
-  svc::ServiceConfig config;
-  config.workers = kWorkers;
-  config.nodes = kNodes;
-  config.warm = true;  // Warm service: the crash mode's rebuilds are pure cost.
-  config.max_shared_bytes = 64ull << 20;
-  config.queue_capacity = 256;
-  config.per_tenant_cap = 4;
-  config.retry_budget = 2;
-  config.retry_backoff_base_s = 0.0005;
-  config.retry_backoff_cap_s = 0.005;
-
-  struct MixEntry {
-    const char* app;
-    int64_t size;
-  };
-  const std::vector<MixEntry> mix = smoke
-      ? std::vector<MixEntry>{{"sor", 32}, {"water", 64}, {"fft", 32}}
-      : std::vector<MixEntry>{{"sor", 128}, {"water", 125}, {"fft", 64}};
-  const std::vector<std::string> tenants = {"alpha", "beta", "gamma"};
-
-  ModeResult result;
-  result.mode = crash ? "crash_reboot" : "clean";
-
-  svc::DsmService service(config);
-  service.Start();
+// One fresh system: construct, set up, run, verify. The wall time covers all
+// of it, as a caller rerunning a workload would pay.
+Run RunOnce(const CatalogRequest& request, const fault::FaultPlan& plan) {
   const auto start = std::chrono::steady_clock::now();
-  uint64_t seed = 1;
-  for (int rep = 0; rep < reps; ++rep) {
-    for (const std::string& tenant : tenants) {
-      for (const MixEntry& entry : mix) {
-        svc::WorkloadRequest request;
-        request.tenant = tenant;
-        request.app = entry.app;
-        request.size = entry.size;
-        request.seed = seed++;  // Vary the crash victim across requests.
-        if (crash) {
-          request.fault_profile = fault::FaultProfile::kCrash;
-          request.fault_crash_reboot = true;
-        }
-        std::string reason;
-        if (service.Submit(request, &reason) == 0) {
-          std::fprintf(stderr, "error: rejected %s/%s: %s\n", tenant.c_str(), entry.app,
-                       reason.c_str());
-          std::exit(1);
-        }
-        ++result.requests;
-      }
-    }
-    service.Drain();  // Bounded queueing: latency measures recovery, not depth.
-  }
-  service.Stop();
-  result.total_wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-
-  std::vector<double> latencies;
-  for (const svc::WorkloadOutcome& outcome : service.outcomes()) {
-    if (!outcome.verified || outcome.failed) {
-      std::fprintf(stderr, "error: %s/%s did not recover to a verified run\n",
-                   outcome.request.tenant.c_str(), outcome.request.app.c_str());
-      std::exit(1);
-    }
-    ++result.completed;
-    result.failed += outcome.failed ? 1 : 0;
-    latencies.push_back(outcome.service_s);
-    result.mean_s += outcome.service_s;
-  }
-  result.retried = service.scheduler().stats().retried;
-  if constexpr (obs::kObsCompiledIn) {
-    if (service.metrics() != nullptr) {
-      result.fabric_rebuilds = service.metrics()->counter("svc.fabric.rebuilds")->value();
-    }
-  } else {
-    result.fabric_rebuilds = result.retried;  // One quarantine per requeued crash.
-  }
-  if (!latencies.empty()) {
-    std::sort(latencies.begin(), latencies.end());
-    result.p50_s = Percentile(latencies, 0.5);
-    result.mean_s /= static_cast<double>(latencies.size());
-  }
-  return result;
+  DsmOptions options;
+  options.num_nodes = kNodes;
+  options.fault_plan = plan;
+  std::unique_ptr<ParallelApp> app = MakeCatalogApp(request);
+  DsmSystem system(options);
+  app->Setup(system);
+  RunResult result = system.Run([&app](NodeContext& ctx) { app->Run(ctx); });
+  Run run;
+  run.verified = app->Verify();
+  run.summary = Summary(result.races);
+  run.races = std::move(result.races);
+  run.recovery = result.recovery;
+  run.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  return run;
 }
 
-bool WriteRecoveryJson(const std::string& path, const std::vector<ModeResult>& modes) {
-  std::ofstream out(path);
-  if (!out) {
-    return false;
-  }
-  out << "[\n";
-  for (size_t i = 0; i < modes.size(); ++i) {
-    const ModeResult& m = modes[i];
-    char buffer[512];
-    std::snprintf(buffer, sizeof(buffer),
-                  "  {\"mode\": \"%s\", \"workers\": %d, \"nodes\": %d, \"requests\": %llu, "
-                  "\"completed\": %llu, \"retried\": %llu, \"failed\": %llu, "
-                  "\"fabric_rebuilds\": %llu, \"workloads_per_sec\": %.3f, "
-                  "\"total_wall_s\": %.4f, \"p50_latency_s\": %.6f, "
-                  "\"mean_latency_s\": %.6f}%s\n",
-                  m.mode.c_str(), kWorkers, kNodes,
-                  static_cast<unsigned long long>(m.requests),
-                  static_cast<unsigned long long>(m.completed),
-                  static_cast<unsigned long long>(m.retried),
-                  static_cast<unsigned long long>(m.failed),
-                  static_cast<unsigned long long>(m.fabric_rebuilds),
-                  m.total_wall_s > 0 ? static_cast<double>(m.completed) / m.total_wall_s : 0.0,
-                  m.total_wall_s, m.p50_s, m.mean_s,
-                  i + 1 < modes.size() ? "," : "");
-    out << buffer;
-  }
-  out << "]\n";
-  return static_cast<bool>(out);
+void WriteCell(std::ofstream& out, const ModeResult& m, const char* extra, bool last) {
+  char buffer[512];
+  std::snprintf(buffer, sizeof(buffer),
+                "  {\"mode\": \"%s\", \"nodes\": %d, \"requests\": %llu, "
+                "\"completed\": %llu, \"failed\": %llu, \"workloads_per_sec\": %.3f, "
+                "\"total_wall_s\": %.4f, \"p50_latency_s\": %.6f, "
+                "\"mean_latency_s\": %.6f%s}%s\n",
+                m.mode.c_str(), kNodes, static_cast<unsigned long long>(m.requests),
+                static_cast<unsigned long long>(m.completed),
+                static_cast<unsigned long long>(m.requests - m.completed),
+                m.per_sec(), m.total_wall_s, m.p50_s(), m.mean_s(), extra, last ? "" : ",");
+  out << buffer;
 }
 
 }  // namespace
@@ -179,39 +127,99 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const int reps = smoke ? 2 : 4;
-  std::printf(
-      "crash recovery: 3 tenants x 3 apps x %d rep(s), clean vs crash+reboot, "
-      "%d worker x %d nodes\n\n",
-      reps, kWorkers, kNodes);
+  struct MixEntry {
+    const char* app;
+    int64_t size;
+  };
+  const std::vector<MixEntry> mix = smoke
+      ? std::vector<MixEntry>{{"sor", 32}, {"water", 64}, {"fft", 32}}
+      : std::vector<MixEntry>{{"sor", 128}, {"water", 125}, {"fft", 64}};
+  const int reps = smoke ? 3 : 6;
+  std::printf("crash recovery: 3 apps x %d rep(s) on %d nodes, clean vs crash + reboot\n\n",
+              reps, kNodes);
 
-  std::vector<ModeResult> modes;
-  modes.push_back(RunMode(/*crash=*/false, reps, smoke));
-  modes.push_back(RunMode(/*crash=*/true, reps, smoke));
+  ModeResult clean_mode;
+  clean_mode.mode = "clean";
+  ModeResult crash_mode;
+  crash_mode.mode = "crash_reboot";
+  bool crash_prefix_match = true;
+  bool reboot_match = true;
+  uint64_t seed = 1;
+  for (int rep = 0; rep < reps; ++rep) {
+    for (const MixEntry& entry : mix) {
+      CatalogRequest request;
+      request.app = entry.app;
+      request.size = entry.size;
+      request.seed = seed++;  // Vary the inputs and the crash victim.
+      // The workload seed doubles as the fault seed, as in cvm_run.
+      const fault::FaultPlan crash_plan =
+          fault::FaultPlan::FromProfile(fault::FaultProfile::kCrash, request.seed);
+      fault::FaultPlan reboot_plan = crash_plan;
+      reboot_plan.crash_epoch = -1;
 
-  TablePrinter table({"Mode", "Requests", "Done", "Retried", "Rebuilds", "Wl/s",
-                      "p50 ms", "Mean ms"});
-  for (const ModeResult& m : modes) {
-    table.AddRow({m.mode, std::to_string(m.requests), std::to_string(m.completed),
-                  std::to_string(m.retried), std::to_string(m.fabric_rebuilds),
-                  TablePrinter::Fixed(m.total_wall_s > 0
-                                          ? static_cast<double>(m.completed) / m.total_wall_s
-                                          : 0.0, 2),
-                  TablePrinter::Fixed(m.p50_s * 1e3, 2),
-                  TablePrinter::Fixed(m.mean_s * 1e3, 2)});
+      const Run clean = RunOnce(request, fault::FaultPlan{});
+      const Run crashed = RunOnce(request, crash_plan);
+      const Run rebooted = RunOnce(request, reboot_plan);
+
+      std::vector<RaceReport> prefix;
+      for (const RaceReport& report : clean.races) {
+        if (report.epoch <= crashed.recovery.last_consistent_epoch) {
+          prefix.push_back(report);
+        }
+      }
+      const bool prefix_ok = crashed.recovery.crashed && crashed.summary == Summary(prefix);
+      const bool reboot_ok = !rebooted.recovery.crashed && rebooted.summary == clean.summary;
+      if (!prefix_ok) {
+        std::fprintf(stderr,
+                     "error: %s seed %llu: crashed=%s, consistent through %d, reports "
+                     "differ from the clean prefix\n  expected:\n%s  got:\n%s",
+                     entry.app, static_cast<unsigned long long>(request.seed),
+                     crashed.recovery.crashed ? "yes" : "NO",
+                     crashed.recovery.last_consistent_epoch, Summary(prefix).c_str(),
+                     crashed.summary.c_str());
+      }
+      if (!reboot_ok) {
+        std::fprintf(stderr,
+                     "error: %s seed %llu: reboot reports differ from clean\n"
+                     "  clean:\n%s  rebooted:\n%s",
+                     entry.app, static_cast<unsigned long long>(request.seed),
+                     clean.summary.c_str(), rebooted.summary.c_str());
+      }
+      crash_prefix_match = crash_prefix_match && prefix_ok;
+      reboot_match = reboot_match && reboot_ok;
+
+      clean_mode.Add(clean.verified, clean.wall_s);
+      crash_mode.Add(rebooted.verified, crashed.wall_s + rebooted.wall_s);
+    }
+  }
+
+  TablePrinter table({"Mode", "Workloads", "Verified", "Wl/s", "p50 ms", "Mean ms"});
+  for (const ModeResult* m : {&clean_mode, &crash_mode}) {
+    table.AddRow({m->mode, std::to_string(m->requests), std::to_string(m->completed),
+                  TablePrinter::Fixed(m->per_sec(), 2), TablePrinter::Fixed(m->p50_s() * 1e3, 2),
+                  TablePrinter::Fixed(m->mean_s() * 1e3, 2)});
   }
   table.Print();
+  std::printf("\ncrash prefix identical: %s; reboot identical: %s\n",
+              crash_prefix_match ? "yes" : "NO", reboot_match ? "yes" : "NO");
+  std::printf("surviving a crash on every workload costs %.2fx the clean wall time\n",
+              crash_mode.total_wall_s / clean_mode.total_wall_s);
 
-  const double overhead = modes[0].total_wall_s > 0
-      ? modes[1].total_wall_s / modes[0].total_wall_s
-      : 0.0;
-  std::printf("\nsurviving a crash on every workload costs %.2fx the clean wall time\n",
-              overhead);
-
-  if (!WriteRecoveryJson("BENCH_recovery.json", modes)) {
+  std::ofstream out("BENCH_recovery.json");
+  char identities[128];
+  std::snprintf(identities, sizeof(identities),
+                ", \"crash_prefix_match\": %s, \"reboot_match\": %s",
+                crash_prefix_match ? "true" : "false", reboot_match ? "true" : "false");
+  out << "[\n";
+  WriteCell(out, clean_mode, "", /*last=*/false);
+  WriteCell(out, crash_mode, identities, /*last=*/true);
+  out << "]\n";
+  if (!out) {
     std::fprintf(stderr, "error: cannot write BENCH_recovery.json\n");
     return 1;
   }
   std::printf("wrote BENCH_recovery.json\n");
-  return 0;
+  const bool all_verified =
+      clean_mode.completed == clean_mode.requests && crash_mode.completed == crash_mode.requests;
+  return crash_prefix_match && reboot_match && all_verified ? 0 : 1;
 }

@@ -1,8 +1,8 @@
 // Catalog of the bundled evaluation applications, keyed by the lower-case
 // names the command-line tools use (fft, sor, tsp, water, lu). One place
 // turns an (app, size, seed) request into a fresh ParallelApp instance so
-// cvm_run, the DSM service (src/svc/), and the benches agree on what
-// "--app=fft --size=64" means.
+// cvm_run, perfbench and the benches agree on what "--app=fft --size=64"
+// means.
 #ifndef CVM_APPS_APP_CATALOG_H_
 #define CVM_APPS_APP_CATALOG_H_
 

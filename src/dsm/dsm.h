@@ -1,11 +1,7 @@
 // DsmSystem: owns the shared segment, the network fabric, the nodes, the
-// race detector, and the run results. One DsmSystem performs one run at a
-// time: construct, allocate shared data, Run(app), inspect the RunResult.
-// A finished system can be returned to its just-constructed state with
-// Reset() and run again — the warm path the multi-tenant service
-// (src/svc/) is built on. Back-to-back Reset() runs are bit-identical to
-// fresh constructions on every deterministic field (races, simulated time,
-// traffic, detector stats); only wall-clock jitter differs.
+// race detector, and the run results. One DsmSystem performs one run:
+// construct, allocate shared data, Run(app), inspect the RunResult. To run
+// again, construct a fresh DsmSystem.
 #ifndef CVM_DSM_DSM_H_
 #define CVM_DSM_DSM_H_
 
@@ -63,9 +59,8 @@ struct RunResult {
   InternStats intern;
   AccessCounters access;
   // Messages that arrived with no registered dispatch handler, summed over
-  // all nodes. Nonzero means a protocol wiring bug; the service's tenant
-  // isolation guarantee requires this to stay zero under every fault
-  // profile.
+  // all nodes. Nonzero means a protocol wiring bug; it must stay zero under
+  // every fault profile.
   uint64_t dispatch_unhandled = 0;
   uint64_t intervals_total = 0;
   uint64_t barriers = 0;                 // Per node (all nodes see the same count).
@@ -134,23 +129,8 @@ class DsmSystem {
   // Runs `app` on every node (the classic SPMD model all four benchmark
   // applications use), appends an implicit final barrier so the last epoch
   // is race-checked, and returns the collected results. Call once per
-  // Reset() cycle.
+  // system.
   RunResult Run(const std::function<void(NodeContext&)>& app);
-
-  // Returns the system to its just-constructed state without reallocating
-  // the heavyweight pieces (segment backing store, network fabric, tracer
-  // rings, metric objects): nodes are destroyed, inboxes and transport state
-  // cleared, the segment re-zeroed, metrics/tracer/detector counters reset,
-  // and collected reports dropped. After Reset() the system accepts Alloc()
-  // and one more Run(), starting from exactly the state a fresh process
-  // would see. Call only after Run() has returned (no live app threads).
-  void Reset();
-
-  // Swaps the fault plan for the next run (the per-tenant chaos knob of the
-  // service): replaces or removes the injector and re-derives unset
-  // transport timings from the cost model. Only legal before the first
-  // Run() or right after Reset().
-  void SetFaultPlan(const fault::FaultPlan& plan);
 
   // ---- Internal, used by Node ----
   Node& node(NodeId id);
@@ -168,10 +148,6 @@ class DsmSystem {
   void NoteCrash(const RunAbortError& err, size_t locks_recovered, uint64_t checkpoint_bytes);
 
  private:
-  // (Re)creates the injector for `plan` — deriving unset timings from the
-  // cost model — and attaches it to the network; a disabled plan detaches.
-  void ApplyFaultPlan(const fault::FaultPlan& plan);
-
   DsmOptions options_;
   std::unique_ptr<SharedSegment> segment_;
   std::unique_ptr<Network> network_;

@@ -177,7 +177,7 @@ class Node : public ProtocolHost {
   // detection protocol needs to resume from epoch `epoch` — interval VCs,
   // the interval log, unchecked access bitmaps, and lock ownership. Data
   // pages are deliberately NOT part of the cut: a failed workload is re-run
-  // from scratch by the service, never resumed mid-computation.
+  // from scratch on a fresh DsmSystem, never resumed mid-computation.
   struct EpochCheckpoint {
     EpochId epoch = 0;
     VectorClock vc;

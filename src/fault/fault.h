@@ -95,12 +95,8 @@ struct FaultPlan {
   // barrier `crash_epoch` — its app thread dies mid-epoch and the node goes
   // silent (no acks, no replies). crash_epoch < 0 disarms the crash.
   // crash_node < 0 picks a seed-derived victim (FaultInjector::crash_node()).
-  // crash_reboot marks the failure transient: a service-level retry of the
-  // same workload runs with the crash disarmed, modeling the node coming
-  // back after reboot; permanent crashes recur on every retry.
   EpochId crash_epoch = -1;
   NodeId crash_node = kNoNode;
-  bool crash_reboot = false;
 
   bool crash_enabled() const { return crash_epoch >= 0; }
 

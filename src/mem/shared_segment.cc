@@ -1,6 +1,5 @@
 #include "src/mem/shared_segment.h"
 
-#include <algorithm>
 #include <cstring>
 #include <sstream>
 
@@ -27,24 +26,8 @@ GlobalAddr SharedSegment::Alloc(const std::string& name, uint64_t bytes, bool pa
   CVM_CHECK_LE(base + bytes, size_bytes())
       << "shared segment exhausted allocating " << name << " (" << bytes << " bytes)";
   next_free_ = base + bytes;
-  dirty_high_ = std::max(dirty_high_, next_free_);
   symbols_.push_back(Symbol{name, base, bytes});
   return base;
-}
-
-void SharedSegment::Reset() {
-  // Zero only what a run could have observed: every allocated byte plus any
-  // PokeInitial splash, rounded up to a page so InitialPage never serves a
-  // stale partial page.
-  uint64_t zero_to = dirty_high_;
-  if (zero_to % page_size_ != 0) {
-    zero_to += page_size_ - zero_to % page_size_;
-  }
-  zero_to = std::min<uint64_t>(zero_to, initial_.size());
-  std::memset(initial_.data(), 0, zero_to);
-  next_free_ = 0;
-  dirty_high_ = 0;
-  symbols_.clear();
 }
 
 std::string SharedSegment::Symbolize(GlobalAddr addr) const {
@@ -72,7 +55,6 @@ std::vector<uint8_t> SharedSegment::InitialPage(PageId page) const {
 
 void SharedSegment::PokeInitial(GlobalAddr addr, const void* data, uint64_t bytes) {
   CVM_CHECK_LE(addr + bytes, size_bytes());
-  dirty_high_ = std::max(dirty_high_, addr + bytes);
   std::memcpy(initial_.data() + addr, data, bytes);
 }
 

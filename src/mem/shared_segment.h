@@ -54,17 +54,10 @@ class SharedSegment {
   std::vector<uint8_t> InitialPage(PageId page) const;
   void PokeInitial(GlobalAddr addr, const void* data, uint64_t bytes);
 
-  // Returns the segment to its just-constructed state without reallocating
-  // the backing store: drops every symbol and re-zeroes only the bytes that
-  // were ever allocated or poked. This is what makes a warm DsmSystem reuse
-  // cheap — a fresh construction pays a full max_bytes zero-fill.
-  void Reset();
-
  private:
   uint64_t page_size_;
   uint64_t num_pages_;
   uint64_t next_free_ = 0;
-  uint64_t dirty_high_ = 0;  // Bytes Reset() must re-zero (allocs + pokes).
   std::vector<Symbol> symbols_;
   std::vector<uint8_t> initial_;  // num_pages_ * page_size_ bytes.
 };

@@ -474,37 +474,4 @@ fault::FaultStats Network::fault_stats() const {
   return fstats_;
 }
 
-void Network::ResetStats() {
-  // Never hold both: the send path locks fault_mu_ -> stats_mu_, so nesting
-  // them here in the opposite order would invert the documented lock order.
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_ = NetworkStats{};
-    by_kind_.fill(TrafficCount{});
-    std::fill(by_sender_.begin(), by_sender_.end(), TrafficCount{});
-  }
-  std::lock_guard<std::mutex> fault_lock(fault_mu_);
-  fstats_ = fault::FaultStats{};
-}
-
-void Network::Reset() {
-  for (auto& inbox : inboxes_) {
-    std::lock_guard<std::mutex> lock(inbox->mu);
-    inbox->queue.clear();
-  }
-  for (auto& dead : dead_) {
-    dead->store(false, std::memory_order_release);
-  }
-  {
-    std::lock_guard<std::mutex> lock(fault_mu_);
-    // Sequence numbers, reorder buffers, and held frames all restart so the
-    // next run's injection schedule is identical to a fresh process.
-    for (auto& pair : pairs_) {
-      pair = PairState{};
-    }
-  }
-  ResetStats();
-  closed_.store(false, std::memory_order_release);
-}
-
 }  // namespace cvm

@@ -100,7 +100,6 @@ class Network {
   // Fail-stop `node`: frames from it die on its NIC, frames to it are never
   // acked, so in-flight and future sends to it surface kPeerUnreachable
   // after a bounded suspicion timeout instead of retransmitting forever.
-  // Cleared by Reset().
   void MarkNodeDead(NodeId node);
   bool NodeDead(NodeId node) const;
 
@@ -115,15 +114,6 @@ class Network {
 
   NetworkStats stats() const;
   fault::FaultStats fault_stats() const;
-
-  // Zeroes the aggregate statistics (multi-run tools reusing one fabric).
-  void ResetStats();
-
-  // Returns the fabric to its just-constructed state so a warm DsmSystem can
-  // run again: reopens the network after Close(), empties every inbox, drops
-  // all reliable-transport pair state, and zeroes traffic + fault counters.
-  // Call only while no node threads are sending or receiving (between runs).
-  void Reset();
 
  private:
   struct Inbox {

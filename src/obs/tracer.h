@@ -95,12 +95,6 @@ class Tracer {
   // Drains all rings and returns a copy of every collected event.
   std::vector<TraceEvent> Collected();
 
-  // Returns the tracer to its just-constructed state: every ring emptied,
-  // all drop/sample/accept counters zeroed, the drained store cleared, flow
-  // ids restarting from 1, and the wall-clock origin re-anchored to now.
-  // Call only while no node threads are emitting (between runs).
-  void Reset();
-
   // Chrome trace-event JSON ("traceEvents" array form plus metadata).
   // Events are sorted by (pid, tid, ts) so every track is monotone.
   std::string ToChromeJson();

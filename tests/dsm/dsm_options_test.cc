@@ -38,7 +38,7 @@ TEST(DsmOptionsDeathTest, NonPowerOfTwoPageSizeAborts) {
   EXPECT_DEATH({ DsmSystem system(options); }, "must be a power of two");
 }
 
-TEST(DsmOptionsDeathTest, SecondRunWithoutResetAborts) {
+TEST(DsmOptionsDeathTest, SecondRunOnOneSystemAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
@@ -46,7 +46,7 @@ TEST(DsmOptionsDeathTest, SecondRunWithoutResetAborts) {
         system.Run([](NodeContext&) {});
         system.Run([](NodeContext&) {});
       },
-      "one Run\\(\\) per Reset\\(\\) cycle");
+      "one Run\\(\\) per DsmSystem");
 }
 
 TEST(DsmOptionsDeathTest, AllocAfterRunAborts) {

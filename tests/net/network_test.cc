@@ -209,24 +209,6 @@ TEST(NetworkTest, IntervalMessageSizesArePinned) {
   EXPECT_EQ(stats.bytes_by_sender.at(1), 268u);
 }
 
-TEST(NetworkTest, ResetStatsZeroesEverything) {
-  Network net(2);
-  PageRequestMsg req;
-  net.Send(Make(0, 1, req));
-  ASSERT_EQ(net.stats().messages, 1u);
-  net.ResetStats();
-  const NetworkStats stats = net.stats();
-  EXPECT_EQ(stats.messages, 0u);
-  EXPECT_EQ(stats.bytes, 0u);
-  EXPECT_EQ(stats.read_notice_bytes, 0u);
-  EXPECT_TRUE(stats.messages_by_kind.empty());
-  EXPECT_TRUE(stats.bytes_by_kind.empty());
-  // The fabric still works after a reset.
-  net.Send(Make(1, 0, req));
-  EXPECT_EQ(net.stats().messages, 1u);
-  EXPECT_TRUE(net.Recv(0).has_value());
-}
-
 TEST(NetworkTest, ObservabilityCountersMirrorStats) {
   Network net(2);
   obs::Tracer tracer(2, [] {

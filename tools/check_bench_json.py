@@ -17,7 +17,6 @@ Usage: tools/check_bench_json.py BENCH_detector.json
        tools/check_bench_json.py BENCH_obs.json
        tools/check_bench_json.py BENCH_recovery.json
        tools/check_bench_json.py BENCH_scaling.json
-       tools/check_bench_json.py BENCH_service.json
        tools/check_bench_json.py --fig4 FILE   (legacy: force fig4 schema)
 """
 
@@ -66,32 +65,20 @@ OBS_FIELDS = {
 
 RECOVERY_FIELDS = {
     "mode": str,
-    "workers": int,
     "nodes": int,
     "requests": int,
     "completed": int,
-    "retried": int,
     "failed": int,
-    "fabric_rebuilds": int,
     "workloads_per_sec": (int, float),
     "total_wall_s": (int, float),
     "p50_latency_s": (int, float),
     "mean_latency_s": (int, float),
 }
 
-SERVICE_FIELDS = {
-    "mode": str,
-    "workers": int,
-    "nodes": int,
-    "requests": int,
-    "completed": int,
-    "rejected": int,
-    "warm_reuses": int,
-    "workloads_per_sec": (int, float),
-    "total_wall_s": (int, float),
-    "p50_latency_s": (int, float),
-    "p99_latency_s": (int, float),
-    "mean_latency_s": (int, float),
+# The crash_reboot cell also carries the two report identities.
+RECOVERY_CRASH_FIELDS = {
+    "crash_prefix_match": bool,
+    "reboot_match": bool,
 }
 
 HOTPATH_FIELDS = {
@@ -116,7 +103,6 @@ SCALING_FIELDS = {
 
 MODES = {"serial", "distributed"}
 OBS_MODES = {"off", "trace", "trace+flows"}
-SERVICE_MODES = {"cold", "warm"}
 RECOVERY_MODES = {"clean", "crash_reboot"}
 
 # Headroom over the nominal "flow tracing <= 2x plain tracing" claim: wall
@@ -247,64 +233,25 @@ def check_obs(cells):
     return 0
 
 
-def check_service(cells):
-    if not cells:
-        return fail("no cells")
-    by_mode = {}
-    for i, cell in enumerate(cells):
-        err = check_fields(cell, i, SERVICE_FIELDS)
-        if err:
-            return fail(err)
-        if cell["mode"] not in SERVICE_MODES:
-            return fail(f"cell {i}: unknown mode '{cell['mode']}'")
-        if cell["completed"] != cell["requests"]:
-            return fail(
-                f"cell {i}: completed {cell['completed']} != requests {cell['requests']}"
-            )
-        if cell["rejected"] != 0:
-            return fail(f"cell {i}: bench run shed {cell['rejected']} request(s)")
-        if cell["workloads_per_sec"] <= 0 or cell["total_wall_s"] <= 0:
-            return fail(f"cell {i}: non-positive throughput/wall time")
-        if not 0 < cell["p50_latency_s"] <= cell["p99_latency_s"]:
-            return fail(f"cell {i}: latency percentiles out of order or non-positive")
-        by_mode[cell["mode"]] = cell
-    missing = SERVICE_MODES - set(by_mode)
-    if missing:
-        return fail(f"missing mode(s) {sorted(missing)}")
-    cold, warm = by_mode["cold"], by_mode["warm"]
-    if cold["warm_reuses"] != 0:
-        return fail("cold mode reused a fabric")
-    if warm["warm_reuses"] <= 0:
-        return fail("warm mode never reused a fabric")
-    if warm["p50_latency_s"] >= cold["p50_latency_s"]:
-        return fail(
-            f"warm p50 {warm['p50_latency_s']:.6f}s is not below cold p50 "
-            f"{cold['p50_latency_s']:.6f}s"
-        )
-    print(
-        f"OK: {len(cells)} service cells, warm p50 is "
-        f"{warm['p50_latency_s'] / cold['p50_latency_s']:.2f}x cold p50"
-    )
-    return 0
-
-
 def check_recovery(cells):
     if not cells:
         return fail("no cells")
     by_mode = {}
     for i, cell in enumerate(cells):
         err = check_fields(cell, i, RECOVERY_FIELDS)
+        if not err and cell["mode"] == "crash_reboot":
+            err = check_fields(cell, i, RECOVERY_CRASH_FIELDS)
         if err:
             return fail(err)
         if cell["mode"] not in RECOVERY_MODES:
             return fail(f"cell {i}: unknown mode '{cell['mode']}'")
-        # Recovery never loses work: every request completes, none fail.
+        # Recovery never loses work: every workload's final run verifies.
         if cell["completed"] != cell["requests"]:
             return fail(
                 f"cell {i}: completed {cell['completed']} != requests {cell['requests']}"
             )
         if cell["failed"] != 0:
-            return fail(f"cell {i}: {cell['failed']} workload(s) exhausted the retry budget")
+            return fail(f"cell {i}: {cell['failed']} workload(s) did not verify")
         if cell["workloads_per_sec"] <= 0 or cell["total_wall_s"] <= 0:
             return fail(f"cell {i}: non-positive throughput/wall time")
         if cell["p50_latency_s"] <= 0:
@@ -314,25 +261,21 @@ def check_recovery(cells):
     if missing:
         return fail(f"missing mode(s) {sorted(missing)}")
     clean, crash = by_mode["clean"], by_mode["crash_reboot"]
-    if clean["retried"] != 0 or clean["fabric_rebuilds"] != 0:
-        return fail("clean mode retried or rebuilt a fabric")
-    # Every crash-mode workload crashes once and reboots: one retry each,
-    # each crashed attempt quarantining (and so rebuilding) its fabric.
-    if crash["retried"] < crash["requests"]:
-        return fail(
-            f"crash mode retried only {crash['retried']} of {crash['requests']} workloads"
-        )
-    if crash["fabric_rebuilds"] <= 0:
-        return fail("crash mode never rebuilt a quarantined fabric")
-    # Recovery is work (a torn attempt + rebuild + backoff per workload), so
-    # it must cost strictly more wall time than the undisturbed run.
+    # The crashed run reports exactly the clean prefix its consistent cut
+    # covers, and the rebooted rerun reports exactly the clean reports.
+    if not crash["crash_prefix_match"]:
+        return fail("crashed runs' reports are not the clean prefix of their cut")
+    if not crash["reboot_match"]:
+        return fail("rebooted runs' reports differ from the clean runs'")
+    # Recovery is work (a torn attempt plus a full rerun per workload), so it
+    # must cost strictly more wall time than the undisturbed run.
     if crash["total_wall_s"] <= clean["total_wall_s"]:
         return fail(
             f"crash-mode wall time {crash['total_wall_s']:.4f}s not above "
             f"clean {clean['total_wall_s']:.4f}s"
         )
     print(
-        f"OK: {len(cells)} recovery cells, {crash['retried']} retries, "
+        f"OK: {len(cells)} recovery cells, crash prefix and reboot identical, "
         f"crash mode costs {crash['total_wall_s'] / clean['total_wall_s']:.2f}x clean"
     )
     return 0
@@ -449,7 +392,6 @@ SCHEMAS = {
     "BENCH_obs.json": check_obs,
     "BENCH_recovery.json": check_recovery,
     "BENCH_scaling.json": check_scaling,
-    "BENCH_service.json": check_service,
 }
 
 

@@ -8,10 +8,11 @@ invocations guard against the opposite failure (validation so strict the
 tool rejects legal input). Registered as a ctest; stdlib only.
 
 Inputs that earlier versions accepted and that are now gone (the sharded
-pipeline, epoch batching and the bitmap compress/intern switches) must be
-rejected too, naming the input, by every tool that used to take them.
+pipeline, epoch batching, the bitmap compress/intern switches and the
+transient-crash marker) must be rejected too, naming the input, by every tool
+that used to take them.
 
-Usage: tools/check_cli_validation.py CVM_RUN_BINARY [CVM_SERVE_BINARY [CHAOS_RUN_BINARY]]
+Usage: tools/check_cli_validation.py CVM_RUN_BINARY [CHAOS_RUN_BINARY]
 """
 
 import subprocess
@@ -64,13 +65,16 @@ BAD_RUN_CASES = [
       "--barrier-fanout=0"], "barrier-fanout"),
     (["--app=sor", "--size=16", "--nodes=2", "--barrier-tree",
       "--barrier-fanout=9"], "barrier-fanout"),
-    # Deleted inputs: the detection pipeline is serial or distributed, and
-    # the message type alone decides the bitmap encoding.
+    # Deleted inputs: the detection pipeline is serial or distributed, the
+    # message type alone decides the bitmap encoding, and a crash "reboot" is
+    # a rerun with the crash disarmed.
     (["--app=sor", "--size=16", "--nodes=2", "--pipeline=sharded"], "sharded"),
     (["--app=sor", "--size=16", "--nodes=2", "--detect-shards=2"], "detect-shards"),
     (["--app=sor", "--size=16", "--nodes=2", "--detect-batch=2"], "detect-batch"),
     (["--app=sor", "--size=16", "--nodes=2", "--compress-bitmaps"], "compress-bitmaps"),
     (["--app=sor", "--size=16", "--nodes=2", "--intern-bitmaps"], "intern-bitmaps"),
+    (["--app=sor", "--size=16", "--nodes=2", "--fault-profile=crash",
+      "--fault-crash-reboot"], "fault-crash-reboot"),
 ]
 
 GOOD_RUN_CASES = [
@@ -79,37 +83,12 @@ GOOD_RUN_CASES = [
     # A seeded crash run must complete and exit 0 — recovery, not abort.
     ["--app=sor", "--size=16", "--nodes=2", "--fault-profile=crash", "--seed=3"],
     ["--app=sor", "--size=16", "--nodes=2", "--fault-profile=crash",
-     "--fault-crash-node=1", "--fault-crash-epoch=1", "--fault-crash-reboot"],
+     "--fault-crash-node=1", "--fault-crash-epoch=1"],
     # The tree barrier with the distributed pipeline on a legal fanout; the
     # default fanout (4) must also pass at 2 nodes (degenerates to a star).
     ["--app=sor", "--size=16", "--nodes=2", "--barrier-tree", "--barrier-fanout=2",
      "--pipeline=distributed"],
     ["--app=sor", "--size=16", "--nodes=2", "--barrier-tree"],
-]
-
-BAD_SERVE_CASES = [
-    (["--script=/dev/null", "--workers=0"], "workers"),
-    (["--script=/dev/null", "--policy=round-robin"], "policy"),
-    (["--script=/dev/null", "--pipeline=bogus"], "pipeline"),
-    (["--script=/dev/null", "--protocol=bogus"], "protocol"),
-    (["--script=/dev/null", "--retry-budget=-1"], "retry-budget"),
-    (["--script=/dev/null", "--retry-budget=1000"], "retry-budget"),
-    (["--script=/dev/null", "--frobnicate"], "frobnicate"),
-    (["--script=/dev/null", "--nodes=2", "--barrier-tree", "--barrier-fanout=0"],
-     "barrier-fanout"),
-    (["--script=/dev/null", "--nodes=2", "--barrier-tree", "--barrier-fanout=9"],
-     "barrier-fanout"),
-    # Deleted inputs (cvm_serve never took --compress-bitmaps).
-    (["--script=/dev/null", "--pipeline=sharded"], "sharded"),
-    (["--script=/dev/null", "--nodes=2", "--detect-shards=2"], "detect-shards"),
-    (["--script=/dev/null", "--nodes=2", "--detect-batch=2"], "detect-batch"),
-    (["--script=/dev/null", "--intern-bitmaps"], "intern-bitmaps"),
-]
-
-GOOD_SERVE_CASES = [
-    ["--script=/dev/null", "--workers=1", "--nodes=2"],
-    ["--script=/dev/null", "--workers=1", "--nodes=2", "--barrier-tree",
-     "--barrier-fanout=2", "--pipeline=distributed"],
 ]
 
 # chaos_run only ever took the pipeline selector of the deleted inputs.
@@ -167,10 +146,7 @@ def main():
     failures = sweep(sys.argv[1], BAD_RUN_CASES, GOOD_RUN_CASES)
     checked = len(BAD_RUN_CASES) + len(GOOD_RUN_CASES)
     if len(sys.argv) > 2:
-        failures += sweep(sys.argv[2], BAD_SERVE_CASES, GOOD_SERVE_CASES)
-        checked += len(BAD_SERVE_CASES) + len(GOOD_SERVE_CASES)
-    if len(sys.argv) > 3:
-        failures += sweep(sys.argv[3], BAD_CHAOS_CASES, GOOD_CHAOS_CASES)
+        failures += sweep(sys.argv[2], BAD_CHAOS_CASES, GOOD_CHAOS_CASES)
         checked += len(BAD_CHAOS_CASES) + len(GOOD_CHAOS_CASES)
     if failures:
         print(f"{failures} of {checked} CLI validation case(s) failed", file=sys.stderr)

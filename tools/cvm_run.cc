@@ -71,8 +71,6 @@ int Usage() {
       "  --fault-crash-epoch=E  fail-stop a node at barrier epoch E (arms the\n"
       "                       crash machinery on any profile)\n"
       "  --fault-crash-node=N crash victim (default: seed-derived)\n"
-      "  --fault-crash-reboot mark the crash transient (service retries run\n"
-      "                       with the crash disarmed)\n"
       "\n"
       "observability (docs/OBSERVABILITY.md):\n"
       "  --trace-json=FILE    write a Chrome/Perfetto trace-event JSON of the run\n"
@@ -128,7 +126,7 @@ int main(int argc, char** argv) {
       "watch",   "watch-epoch", "postmortem", "trace-out", "trace-in", "full-report", "pages",
       "races-json", "trace-json", "metrics-out", "metrics-interval", "trace-sample",
       "seed", "fault-profile", "fault-seed", "fault-drop", "fault-max-attempts",
-      "fault-crash-epoch", "fault-crash-node", "fault-crash-reboot",
+      "fault-crash-epoch", "fault-crash-node",
       "help"};
   for (const std::string& key : flags.UnknownKeys(accepted)) {
     std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
@@ -313,7 +311,6 @@ int main(int argc, char** argv) {
     }
     options.fault_plan.crash_node = static_cast<NodeId>(crash_node);
   }
-  options.fault_plan.crash_reboot = flags.GetBool("fault-crash-reboot", false);
 
   CatalogRequest catalog;
   catalog.app = app_name;
@@ -341,13 +338,11 @@ int main(int argc, char** argv) {
                 fault::ProfileName(options.fault_plan.profile),
                 static_cast<unsigned long>(fault_seed), options.fault_plan.drop_prob);
     if (options.fault_plan.crash_enabled()) {
-      std::printf("crash: node %s fail-stops at barrier epoch %d (%s)\n",
+      std::printf("crash: node %s fail-stops at barrier epoch %d\n",
                   options.fault_plan.crash_node >= 0
                       ? std::to_string(options.fault_plan.crash_node).c_str()
                       : "(seed-derived)",
-                  options.fault_plan.crash_epoch,
-                  options.fault_plan.crash_reboot ? "transient; reboots on retry"
-                                                  : "permanent");
+                  options.fault_plan.crash_epoch);
     }
   }
 
